@@ -25,6 +25,7 @@ from .criterion import (
     Shortcut,
     Verdict,
     ZeroRootEvidence,
+    _next_step,
     decide_b_xd,
     grow_tower,
 )
@@ -36,7 +37,6 @@ from .errors import (
     TowerStepRejectedError,
 )
 from .ff import Poly, PrimeField, compose_power, count_mults
-from .intops import primes_up_to
 from .oracle import DEFAULT_ENUMERATION_BOUND, DEFAULT_WORK_BOUND, rabin_test
 from .polytext import parse_coeff_array, parse_poly, render_poly
 from .prob import Convention, exact_probability, exhaustive_census, monte_carlo_estimate, union_lower_bound
@@ -170,11 +170,11 @@ def _auto_start(field: PrimeField, candidate_bound: int) -> Poly:
         cand = Poly.monic_from_index(field, 2, idx)
         if not rabin_test(cand).irreducible:
             continue
-        for r in primes_up_to(candidate_bound):
-            if pow(p, 2, r) != 1:
-                continue
-            if decide_b_xd(cand, r, trusted=True).irreducible:
-                return cand
+        try:
+            _next_step(cand, candidate_bound)
+        except NoViableStepError:
+            continue
+        return cand
     raise NoViableStepError(
         f"no degree-2 start over GF({p}) admits a certified step", degree=2
     )

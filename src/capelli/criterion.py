@@ -78,6 +78,7 @@ class Reason(str, Enum):
 _IRREDUCIBLE_REASONS = frozenset({Reason.DEGREE_ONE, Reason.PASSES_ALL_RESIDUE_TESTS})
 
 
+@dataclass(frozen=True, slots=True)
 class ResidueTest:
     """Evidence of one prime-power residue check.
 
@@ -85,59 +86,19 @@ class ResidueTest:
     d'-th power exactly when that value is 1.
     """
 
-    __slots__ = ("dprime", "exponent", "result", "is_power")
-
-    def __init__(self, dprime: int, exponent: int, result: tuple, is_power: bool):
-        self.dprime = dprime
-        self.exponent = exponent
-        self.result = result
-        self.is_power = is_power
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueTest)
-            and other.dprime == self.dprime
-            and other.exponent == self.exponent
-            and other.result == self.result
-            and other.is_power == self.is_power
-        )
-
-    def __hash__(self):
-        return hash((self.dprime, self.exponent, self.result, self.is_power))
-
-    def __repr__(self):
-        return (
-            f"ResidueTest(dprime={self.dprime}, exponent={self.exponent}, "
-            f"result={self.result}, is_power={self.is_power})"
-        )
+    dprime: int
+    exponent: int
+    result: tuple
+    is_power: bool
 
 
+@dataclass(frozen=True, slots=True)
 class FourthPowerTest:
     """Evidence of the -4*alpha fourth-power check (only relevant when 4 | d)."""
 
-    __slots__ = ("exponent", "result", "is_power")
-
-    def __init__(self, exponent: int, result: tuple, is_power: bool):
-        self.exponent = exponent
-        self.result = result
-        self.is_power = is_power
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FourthPowerTest)
-            and other.exponent == self.exponent
-            and other.result == self.result
-            and other.is_power == self.is_power
-        )
-
-    def __hash__(self):
-        return hash((self.exponent, self.result, self.is_power))
-
-    def __repr__(self):
-        return (
-            f"FourthPowerTest(exponent={self.exponent}, result={self.result}, "
-            f"is_power={self.is_power})"
-        )
+    exponent: int
+    result: tuple
+    is_power: bool
 
 
 @dataclass(frozen=True)
@@ -243,18 +204,9 @@ def reducibility_shortcuts(p: int, k: int, d: int) -> Optional[Shortcut]:
 def star_condition(p: int, k: int, d: int) -> bool:
     """Every prime divisor of d divides p^k - 1, and if 4 | d then
     p = 1 mod 4 or k is even. Exactly the regime where irreducible
-    x^d - alpha exist; equivalent to reducibility_shortcuts returning None.
+    x^d - alpha exist: no whole-field shortcut applies.
     """
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    for r in distinct_prime_factors(d):
-        if pow(p, k, r) != 1:
-            return False
-    if d % 4 == 0 and p % 4 == 3 and k % 2 == 1:
-        return False
-    return True
+    return reducibility_shortcuts(p, k, d) is None
 
 
 def decide_xd_minus_alpha(a: Element, d: int) -> Verdict:
@@ -455,6 +407,29 @@ def _step_from_verdict(d: int, verdict: Verdict) -> TowerStep:
     return TowerStep(d=d, prime_tests=prime_tests, fourth_power=fourth)
 
 
+def _next_step(b: Poly, candidate_bound: int) -> tuple[int, Verdict]:
+    """The smallest prime d <= candidate_bound for which b(x^d) is certified.
+
+    Only primes dividing p^m - 1 (m = deg b) can pass, so the others are
+    skipped without a test. b must be irreducible. When no candidate passes,
+    raises NoViableStepError listing every tested candidate with its verdict.
+    """
+    p, m = b.field.p, b.degree
+    tried = []
+    for r in primes_up_to(candidate_bound):
+        if pow(p, m, r) != 1:
+            continue
+        verdict = decide_b_xd(b, r, trusted=True)
+        if verdict.irreducible:
+            return r, verdict
+        tried.append((r, verdict))
+    raise NoViableStepError(
+        f"no prime step size <= {candidate_bound} certifies at degree {m}",
+        degree=m,
+        tried=tried,
+    )
+
+
 def grow_tower(
     b0: Poly,
     schedule: Optional[Sequence[int]] = None,
@@ -526,24 +501,7 @@ def grow_tower(
         while b.degree < target_degree:
             if len(steps) >= max_steps:
                 raise CapelliError(f"tower exceeded {max_steps} steps")
-            m = b.degree
-            tried = []
-            accepted = None
-            for r in primes_up_to(candidate_bound):
-                if pow(p, m, r) != 1:
-                    continue
-                verdict = decide_b_xd(b, r, trusted=True)
-                if verdict.irreducible:
-                    accepted = (r, verdict)
-                    break
-                tried.append((r, verdict))
-            if accepted is None:
-                raise NoViableStepError(
-                    f"no prime step size <= {candidate_bound} certifies at degree {m}",
-                    degree=m,
-                    tried=tried,
-                )
-            d, verdict = accepted
+            d, verdict = _next_step(b, candidate_bound)
             confirm(b, d)
             steps.append(_step_from_verdict(d, verdict))
             b = compose_power(b, d)
@@ -562,7 +520,17 @@ def replay_certificate(
     exponents and power values, and demands bit-for-bit agreement with the
     recorded evidence plus a non-identity result for every test.
     """
-    K = PrimeField(cert.p)
+    # plain-integer checks first, so no field is built from a bad document
+    p = cert.p
+    if not 2 <= p < 1 << 64 or not is_prime(p):
+        raise CertificateReplayError(f"certificate p = {p} is not a prime of at most 64 bits")
+    base_degree = max((i for i, c in enumerate(cert.base) if c % p), default=-1)
+    final_degree = base_degree * math.prod(step.d for step in cert.steps)
+    if final_degree != cert.final_degree:
+        raise CertificateReplayError(
+            f"final degree {final_degree} != certificate claim {cert.final_degree}"
+        )
+    K = PrimeField(p)
     b = Poly(K, cert.base)
     if b.degree < 1 or not b.is_monic:
         raise CertificateReplayError("certificate base must be monic of degree >= 1")
@@ -580,11 +548,11 @@ def replay_certificate(
             if step.prime_tests or step.fourth_power is not None:
                 raise CertificateReplayError(f"step {i}: d = 1 admits no residue tests")
             continue
-        if reducibility_shortcuts(cert.p, m, d) is not None:
+        if reducibility_shortcuts(p, m, d) is not None:
             raise CertificateReplayError(
                 f"step {i}: a whole-field shortcut proves d={d} reducible at degree {m}"
             )
-        order_minus_one = cert.p**m - 1
+        order_minus_one = p**m - 1
         expected_primes = distinct_prime_factors(d)
         recorded_primes = tuple(t.dprime for t in step.prime_tests)
         if recorded_primes != expected_primes:
@@ -634,8 +602,4 @@ def replay_certificate(
         elif step.fourth_power is not None:
             raise CertificateReplayError(f"step {i}: fourth-power test recorded but 4 does not divide d")
         b = compose_power(b, d)
-    if b.degree != cert.final_degree:
-        raise CertificateReplayError(
-            f"final degree {b.degree} != certificate claim {cert.final_degree}"
-        )
     return True

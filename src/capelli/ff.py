@@ -6,22 +6,28 @@ Representation choices:
    size, so q - 1 for q = p^m needs no special big-integer type.
  - A prime-field element is an int in [0, p). An extension-field element is
    a fixed-length tuple of ints: the little-endian coefficients of its
-   residue polynomial. Both are immutable and hashable.
+   residue polynomial, zero-padded to the field degree. Both are immutable
+   and hashable, and the tuple is what certificates record.
  - ``Poly`` stores a normalized little-endian coefficient tuple over its
    field. The zero polynomial has an empty tuple and degree -1, which acts
    as the "minus infinity" degree: it compares below every real degree.
  - Fields expose arithmetic on the raw values (``field.mul(a, b)`` etc.);
    ``Element`` wraps a raw value with operator sugar.
 
-The inner loops that dominate large computations (polynomial products and
-modular reductions over F_p) switch to numpy kernels when the operands are
-big enough and the coefficient magnitudes cannot overflow int64. Moduli
-with few nonzero terms get a cheap folding reduction, which is what makes
-high-degree sparse towers fast.
+All arithmetic modulo a monic f over F_p goes through one residue ring,
+``_ResidueRing(p, f)``: extension-field products and powers, and the
+modular powers of ``poly_powmod`` and the Rabin oracle. Inside it values
+are trimmed int lists, converted to padded tuples only at the
+``ExtensionField`` boundary. It has one square-and-multiply ladder, and
+its backend follows from p and deg f: precomputed fold rows for small
+degrees, int64 numpy kernels above that when the sums cannot overflow, and
+plain Python lists otherwise. Moduli with few nonzero terms reduce by
+folding, which is what makes high-degree sparse towers fast.
 
-A per-thread work meter tallies coefficient multiplications (bulk counts
-for the vectorized kernels). It is diagnostic instrumentation: results of
-all operations are independent of it.
+A per-thread work meter tallies coefficient multiplications by a fixed
+model of the operand sizes (see ``count_mults``), never by what a backend
+happened to do. It is diagnostic instrumentation: results of all
+operations are independent of it.
 """
 
 from __future__ import annotations
@@ -49,8 +55,7 @@ __all__ = [
 ]
 
 _NP_MUL_MIN_WORK = 256  # len(a)*len(b) below this: pure python wins
-_NP_POWMOD_MIN_DEG = 16
-_ROWS_MAX_DEG = 32  # extension fields up to this degree precompute fold rows
+_ROWS_MAX_DEG = 32  # residue rings up to this degree reduce by precomputed rows
 
 
 class WorkMeter:
@@ -62,14 +67,13 @@ class WorkMeter:
         self.mults = 0
 
 
-_METER_LOCAL = threading.local()
+class _MeterLocal(threading.local):
+    # runs once in each thread that touches the meter
+    def __init__(self) -> None:
+        self.meter = WorkMeter()
 
 
-def _meter() -> WorkMeter:
-    m = getattr(_METER_LOCAL, "meter", None)
-    if m is None:
-        m = _METER_LOCAL.meter = WorkMeter()
-    return m
+_METER_LOCAL = _MeterLocal()
 
 
 @contextmanager
@@ -77,11 +81,18 @@ def count_mults():
     """Yield a zero-arg callable reporting multiplications since entry.
 
     Counts model schoolbook coefficient multiplications in the current
-    thread, including bulk-equivalent counts for the numpy kernels. Inside
-    the block the reading is live; once the block exits it freezes, so work
-    done afterwards never leaks into the figure.
+    thread. In the residue ring modulo f of degree n, whose low part
+    x^n - f has t nonzero coefficients, a product of trimmed operands with
+    la and lb coefficients counts la*lb + max(0, la + lb - 1 - n)*t: one
+    multiplication per coefficient pair, and one per quotient coefficient
+    and low term to reduce. The count is the same on every backend. Outside
+    the ring, a polynomial product counts la*lb, a division by a divisor of
+    lb coefficients counts lb per quotient coefficient, and a power in F_p
+    counts 3/2 per exponent bit. Inside the block the reading is live; once
+    the block exits it freezes, so work done afterwards never leaks into
+    the figure.
     """
-    m = _meter()
+    m = _METER_LOCAL.meter
     start = m.mults
     frozen: list = []
 
@@ -114,8 +125,7 @@ def _pf_mul(p: int, a: list[int], b: list[int]) -> list[int]:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    meter = _meter()
-    meter.mults += la * lb
+    _METER_LOCAL.meter.mults += la * lb
     if la * lb >= _NP_MUL_MIN_WORK and _np_safe(p, min(la, lb)):
         out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return _strip((out % p).tolist(), 0)
@@ -137,8 +147,7 @@ def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
     inv_lead = pow(b[-1], -1, p)
     r = list(a)
     q = [0] * (la - lb + 1)
-    meter = _meter()
-    meter.mults += (la - lb + 1) * lb
+    _METER_LOCAL.meter.mults += (la - lb + 1) * lb
     use_np = lb >= 64 and _np_safe(p, lb)
     if use_np:
         rn = np.asarray(r, dtype=np.int64)
@@ -160,107 +169,153 @@ def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
     return _strip(q, 0), _strip(r, 0)
 
 
-class _PrimeModReducer:
-    """Reduction modulo one fixed monic modulus over F_p.
+def _trim_np(r: np.ndarray) -> np.ndarray:
+    nz = np.flatnonzero(r)
+    return r[: nz[-1] + 1] if nz.size else r[:0]
 
-    Precomputes the low part t(x) with x^n = t(x) (mod f) and decides once
-    whether folding by t (cheap when t has few terms) beats plain synthetic
-    division.
+
+class _ResidueRing:
+    """Arithmetic in F_p[x]/(f) for one monic f of degree n >= 1.
+
+    Values are trimmed little-endian int lists with entries in [0, p). The
+    backend follows from (p, n) alone: fold rows for n <= _ROWS_MAX_DEG,
+    int64 numpy above that when the sums cannot overflow, plain lists
+    otherwise. Reduction rewrites x^n as low(x) = x^n - f one quotient
+    coefficient at a time; numpy instead folds the whole high part at once
+    when low has few terms. Every backend meters the same work (see
+    ``count_mults``).
     """
 
-    __slots__ = ("p", "n", "mod", "low_nz", "maxnz", "sparse_ok", "np_ok")
+    __slots__ = ("p", "n", "terms", "backend", "_rows", "_sparse", "_maxnz", "_low_np", "_mulmod")
 
-    def __init__(self, p: int, mod: Sequence[int]):
-        n = len(mod) - 1
+    def __init__(self, p: int, f: Sequence[int]):
+        n = len(f) - 1
         if n < 1:
             raise ValueError("modulus must have degree >= 1")
-        if mod[-1] != 1:
-            raise ValueError("reducer requires a monic modulus")
+        if f[-1] != 1:
+            raise ValueError("modulus must be monic")
         self.p = p
         self.n = n
-        self.mod = list(mod)
-        low = [(-c) % p for c in mod[:n]]
-        self.low_nz = tuple((j, c) for j, c in enumerate(low) if c)
-        self.maxnz = max((j for j, _ in self.low_nz), default=-1)
-        gap = n - self.maxnz
-        folds = 1 + max(0, n - 2) // gap
-        self.sparse_ok = len(self.low_nz) * folds * 4 <= max(8, n)
-        self.np_ok = _np_safe(p, n + 1)
+        low = [(-c) % p for c in f[:n]]
+        self.terms = tuple((j, c) for j, c in enumerate(low) if c)
+        self._rows = None
+        self._mulmod = self._mul_lists
+        if n <= _ROWS_MAX_DEG:
+            self.backend = "rows"
+            # rows[t] holds the nonzero terms of x^(n+t) mod f
+            rows, row = [], low
+            for _ in range(n - 1):
+                rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+                top = row[-1]
+                row = [0] + row[:-1]
+                if top:
+                    row = [(v + top * c) % p for v, c in zip(row, low)]
+            self._rows = tuple(rows)
+        elif _np_safe(p, n + 1):
+            self.backend = "numpy"
+            self._maxnz = max((j for j, _ in self.terms), default=-1)
+            folds = 1 + (n - 2) // (n - self._maxnz)
+            self._sparse = len(self.terms) * folds * 4 <= n
+            self._low_np = np.asarray(low, dtype=np.int64)
+            self._mulmod = self._mul_np
+        else:
+            self.backend = "lists"
 
-    def reduce_np(self, r: np.ndarray) -> np.ndarray:
-        """Reduce an int64 array with entries in [0, p); returns length <= n."""
-        p, n = self.p, self.n
-        meter = _meter()
-        while r.shape[0] > n:
-            hi = r[n:]
-            if self.sparse_ok:
-                length = max(n, hi.shape[0] + self.maxnz + 1)
-                acc = np.zeros(length, dtype=np.int64)
-                acc[:n] += r[:n]
-                for j, c in self.low_nz:
-                    acc[j : j + hi.shape[0]] += hi * c
-                    meter.mults += hi.shape[0]
-                acc %= p
-                k = acc.shape[0]
-                while k > n and acc[k - 1] == 0:
-                    k -= 1
-                r = acc[:k]
-            else:
-                r = r.copy()
-                mod_low = np.asarray(self.mod[:n], dtype=np.int64)
-                meter.mults += (r.shape[0] - n) * n
-                for k in range(r.shape[0] - 1, n - 1, -1):
-                    c = r[k]
-                    if c:
-                        r[k - n : k] = (r[k - n : k] - c * mod_low) % p
-                r = r[:n]
-        return r
+    def reduce(self, a: list[int]) -> list[int]:
+        """a mod f, for a trimmed list with entries in [0, p)."""
+        if len(a) <= self.n:
+            return a
+        _METER_LOCAL.meter.mults += (len(a) - self.n) * len(self.terms)
+        if self.backend == "numpy":
+            return self._reduce_np(np.asarray(a, dtype=np.int64)).tolist()
+        return self._reduce_lists(list(a))
 
-    def rem_list(self, a: list[int]) -> list[int]:
-        p, n = self.p, self.n
-        if len(a) <= n:
-            return _strip(list(a), 0)
-        if self.np_ok and len(a) > 64:
-            out = self.reduce_np(np.asarray(a, dtype=np.int64))
-            return _strip(out.tolist(), 0)
-        _, r = _pf_divmod(p, list(a), self.mod)
-        return r
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        """a*b mod f, for reduced a and b."""
+        if self.backend == "numpy":
+            a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+            return self._mul_np(a, b).tolist()
+        return self._mul_lists(a, b)
 
-
-def _pf_powmod(p: int, base: list[int], e: int, mod: list[int]) -> list[int]:
-    red = _PrimeModReducer(p, mod)
-    base = red.rem_list(base)
-    n = red.n
-    if e == 0:
-        return [1] if n >= 1 else []
-    if not base:
-        return []
-    if n == 1:
-        # residues are constants; hand the ladder to the native int pow
-        _meter().mults += (e.bit_length() * 3) // 2
-        out = pow(base[0], e, p)
-        return [out] if out else []
-    if red.np_ok and n >= _NP_POWMOD_MIN_DEG:
-        meter = _meter()
-        r = np.asarray(base, dtype=np.int64)
-        b0 = r
+    def pow(self, a: list[int], e: int) -> list[int]:
+        """a^e mod f by square-and-multiply; e is any non-negative int."""
+        a = self.reduce(a)
+        if e == 0:
+            return [1]
+        if self.n == 1 and a:
+            # residues are constants: hand the same ladder to the native pow
+            _METER_LOCAL.meter.mults += e.bit_length() + e.bit_count() - 2
+            return [pow(a[0], e, self.p)]
+        numpy = self.backend == "numpy"
+        r = base = np.asarray(a, dtype=np.int64) if numpy else a
+        mulmod = self._mulmod
         for bit in bin(e)[3:]:
-            meter.mults += r.shape[0] * r.shape[0]
-            r = red.reduce_np(np.convolve(r, r) % p)
+            r = mulmod(r, r)
             if bit == "1":
-                meter.mults += r.shape[0] * b0.shape[0]
-                r = red.reduce_np(np.convolve(r, b0) % p)
-            if r.shape[0] == 0:
-                return []
-        return _strip(r.tolist(), 0)
-    r = list(base)
-    for bit in bin(e)[3:]:
-        r = red.rem_list(_pf_mul(p, r, r))
-        if bit == "1":
-            r = red.rem_list(_pf_mul(p, r, base))
-        if not r:
+                r = mulmod(r, base)
+        return r.tolist() if numpy else r
+
+    # backends: products of reduced values, as lists or as int64 arrays ------
+
+    def _mul_lists(self, a: list[int], b: list[int]) -> list[int]:
+        la, lb = len(a), len(b)
+        if not la or not lb:
             return []
-    return r
+        _METER_LOCAL.meter.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
+        prod = [0] * (la + lb - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    prod[k] += ai * bj
+        return self._reduce_lists(prod)
+
+    def _reduce_lists(self, a: list[int]) -> list[int]:
+        # a: nonnegative ints, not yet reduced mod p; consumed
+        p, n = self.p, self.n
+        if self._rows is not None and len(a) < 2 * n:
+            rows = self._rows
+            for k in range(len(a) - 1, n - 1, -1):
+                c = a[k] % p
+                if c:
+                    for j, t in rows[k - n]:
+                        a[j] += c * t
+        else:
+            terms = self.terms
+            for k in range(len(a) - 1, n - 1, -1):
+                c = a[k] % p
+                if c:
+                    for j, t in terms:
+                        a[k - n + j] += c * t
+        out = [v % p for v in a[:n]]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def _mul_np(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        la, lb = a.shape[0], b.shape[0]
+        if not la or not lb:
+            return a[:0]
+        _METER_LOCAL.meter.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
+        return self._reduce_np(np.convolve(a, b) % self.p)
+
+    def _reduce_np(self, r: np.ndarray) -> np.ndarray:
+        # r: entries in [0, p); consumed
+        p, n = self.p, self.n
+        if self._sparse:
+            while r.shape[0] > n:
+                hi = r[n:]
+                acc = np.zeros(max(n, hi.shape[0] + self._maxnz), dtype=np.int64)
+                acc[:n] = r[:n]
+                for j, c in self.terms:
+                    acc[j : j + hi.shape[0]] += hi * c
+                r = _trim_np(acc % p)
+            return r
+        low = self._low_np
+        for k in range(r.shape[0] - 1, n - 1, -1):
+            c = r[k]
+            if c:
+                r[k - n : k] = (r[k - n : k] + c * low) % p
+        return _trim_np(r[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +371,7 @@ def _divmod_raw(K, a: list, b: list) -> tuple[list, list]:
 
 def _powmod_raw(K, base: list, e: int, mod: list) -> list:
     if isinstance(K, PrimeField):
-        return _pf_powmod(K.p, base, e, mod)
+        return _ResidueRing(K.p, mod).pow(base, e)
     # extension-coefficient polynomials stay small; a plain ladder suffices
     _, r = _divmod_raw(K, base, mod)
     if e == 0:
@@ -389,7 +444,7 @@ class PrimeField:
         return -a % self.p
 
     def mul(self, a: int, b: int) -> int:
-        _meter().mults += 1
+        _METER_LOCAL.meter.mults += 1
         return a * b % self.p
 
     def inv(self, a: int) -> int:
@@ -400,7 +455,7 @@ class PrimeField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        _meter().mults += (e.bit_length() * 3) // 2
+        _METER_LOCAL.meter.mults += (e.bit_length() * 3) // 2
         return pow(a, e, self.p)
 
     # conversions and iteration ----------------------------------------------
@@ -465,8 +520,7 @@ class ExtensionField:
         "order_minus_one",
         "zero",
         "one",
-        "_rows",
-        "_reducer",
+        "_ring",
     )
 
     def __init__(self, base: Union[PrimeField, int], modulus, *, trusted: bool = False):
@@ -493,8 +547,7 @@ class ExtensionField:
         self.order_minus_one = self.order - 1
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        self._reducer = _PrimeModReducer(base.p, mod_coeffs)
-        self._rows = self._build_rows() if m <= _ROWS_MAX_DEG else None
+        self._ring = _ResidueRing(base.p, mod_coeffs)
         if not trusted:
             from .oracle import rabin_test  # deferred: oracle builds on this module
 
@@ -503,21 +556,6 @@ class ExtensionField:
                 raise ReducibleModulusError(
                     f"modulus {mod_coeffs} is reducible over GF({base.p})"
                 )
-
-    def _build_rows(self) -> tuple[tuple[int, ...], ...]:
-        # rows[t] = coefficients of x^(m+t) reduced mod the modulus
-        p, m = self.p, self.degree
-        rows = []
-        row = [(-c) % p for c in self.modulus[:m]]
-        rows.append(tuple(row))
-        for _ in range(m - 2):
-            top = row[m - 1]
-            row = [0] + row[: m - 1]
-            if top:
-                r0 = rows[0]
-                row = [(row[j] + top * r0[j]) % p for j in range(m)]
-            rows.append(tuple(row))
-        return tuple(rows)
 
     # raw-value arithmetic ---------------------------------------------------
 
@@ -533,32 +571,12 @@ class ExtensionField:
         p = self.p
         return tuple(-x % p for x in a)
 
+    def _residue(self, r: list) -> tuple:
+        # the public raw value: coefficients zero-padded to an m-tuple
+        return tuple(r) + (0,) * (self.degree - len(r))
+
     def mul(self, a: tuple, b: tuple) -> tuple:
-        p, m = self.p, self.degree
-        meter = _meter()
-        if self._rows is not None:
-            prod = [0] * (2 * m - 1)
-            for i in range(m):
-                ai = a[i]
-                if ai:
-                    for j in range(m):
-                        bj = b[j]
-                        if bj:
-                            prod[i + j] += ai * bj
-            meter.mults += m * m
-            rows = self._rows
-            for i in range(2 * m - 2, m - 1, -1):
-                c = prod[i] % p
-                if c:
-                    row = rows[i - m]
-                    for j in range(m):
-                        rj = row[j]
-                        if rj:
-                            prod[j] += c * rj
-                    meter.mults += m
-            return tuple(v % p for v in prod[:m])
-        out = self._reducer.rem_list(_pf_mul(p, list(a), list(b)))
-        return tuple(out) + (0,) * (m - len(out))
+        return self._residue(self._ring.mul(_strip(list(a), 0), _strip(list(b), 0)))
 
     def inv(self, a: tuple) -> tuple:
         if a == self.zero:
@@ -579,20 +597,12 @@ class ExtensionField:
             s0, s1 = s1, _strip(s_new, 0)
         # modulus irreducible and a nonzero, so the gcd r0 is a nonzero constant
         c = pow(r0[0], -1, p)
-        out = [v * c % p for v in s0]
-        return tuple(out) + (0,) * (self.degree - len(out))
+        return self._residue([v * c % p for v in s0])
 
     def pow(self, a: tuple, e: int) -> tuple:
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        if e == 0:
-            return self.one
-        r = a
-        for bit in bin(e)[3:]:
-            r = self.mul(r, r)
-            if bit == "1":
-                r = self.mul(r, a)
-        return r
+        return self._residue(self._ring.pow(_strip(list(a), 0), e))
 
     # conversions and iteration ----------------------------------------------
 
@@ -606,8 +616,7 @@ class ExtensionField:
         if isinstance(value, (tuple, list)):
             if len(value) > self.degree:
                 raise ValueError("residue longer than the field degree")
-            vals = [int(v) % self.p for v in value]
-            return tuple(vals) + (0,) * (self.degree - len(vals))
+            return self._residue([int(v) % self.p for v in value])
         raise TypeError(f"cannot interpret {value!r} as an element of {self!r}")
 
     def scalar(self, c: int) -> tuple:

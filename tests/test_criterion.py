@@ -350,6 +350,21 @@ def test_certificate_replay_and_tampering():
         replay_certificate(bad)
 
 
+def test_certificate_replay_rejects_non_prime_p():
+    doc = grow_tower(Poly(F2, [1, 1, 1]), [3]).to_json_dict()
+    doc["p"] = "4"
+    with pytest.raises(CertificateReplayError):
+        replay_certificate(TowerCertificate.from_json_dict(doc))
+
+
+def test_certificate_replay_rejects_inconsistent_huge_step():
+    # checked against the final degree before any field of degree 2*3^40 exists
+    doc = grow_tower(Poly(F2, [1, 1, 1]), [3]).to_json_dict()
+    doc["steps"][0]["d"] = str(3**40)
+    with pytest.raises(CertificateReplayError):
+        replay_certificate(TowerCertificate.from_json_dict(doc))
+
+
 def test_certificate_replay_bit_for_bit():
     """Replay recomputes the identical evidence values, not merely verdicts."""
     cert = grow_tower(Poly(F2, [1, 1, 1]), [3, 3])

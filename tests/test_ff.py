@@ -20,6 +20,8 @@ from capelli import (
     poly_powmod,
 )
 
+from capelli.ff import _ResidueRing, _gen_divmod, _gen_mul, _strip
+
 from conftest import field_of_order, prime_powers_up_to
 
 F2 = PrimeField(2)
@@ -304,3 +306,84 @@ def test_large_degree_numpy_path_consistency():
         got = poly_powmod(a, 3, mod)
         expect = ((a * a) % mod * a) % mod
         assert got == expect
+
+
+# --- the residue ring against schoolbook ---------------------------------------
+
+# p on both sides of the int64 headroom check, n on both sides of the rows cutoff
+RING_PRIMES = [2, 65521, 2**31 - 1, 2**61 - 1]
+RING_DEGREES = [32, 33]
+
+
+@st.composite
+def _ring_case(draw, p, n):
+    coeff, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    if draw(st.booleans()):
+        # trinomial x^n + c*x^k + c0; numpy folds it in one round (k = 1),
+        # in several (k = n/2, n - 8), or divides (k = n - 1)
+        f = [0] * n + [1]
+        f[0] = draw(unit)
+        f[draw(st.sampled_from([1, n // 2, n - 8, n - 1]))] = draw(unit)
+    else:
+        f = draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+    # mostly full-length residues, so that products need reducing
+    length = st.sampled_from([0, 1, 2, n // 2, n - 1, n, n, n])
+    residue = length.flatmap(lambda k: st.lists(coeff, min_size=k, max_size=k))
+    return f, _strip(draw(residue), 0), _strip(draw(residue), 0)
+
+
+def _schoolbook_mulmod(K, f, a, b):
+    return _gen_divmod(K, _gen_mul(K, a, b), f)[1]
+
+
+@pytest.mark.parametrize("n", RING_DEGREES)
+@pytest.mark.parametrize("p", RING_PRIMES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_ring_mul_and_reduce_match_schoolbook(p, n, data):
+    f, a, b = data.draw(_ring_case(p, n))
+    K = PrimeField(p)
+    ring = _ResidueRing(p, f)
+    assert ring.mul(a, b) == _schoolbook_mulmod(K, f, a, b)
+    # a long input: more than 2n coefficients, beyond one product's length
+    long = _strip(a + b + a + [1], 0)
+    assert ring.reduce(long) == _gen_divmod(K, long, f)[1]
+
+
+@pytest.mark.parametrize("n", RING_DEGREES)
+@pytest.mark.parametrize("p", RING_PRIMES)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_ring_pow_matches_schoolbook(p, n, data):
+    f, a, _ = data.draw(_ring_case(p, n))
+    e = data.draw(st.integers(0, 12))
+    K = PrimeField(p)
+    ring = _ResidueRing(p, f)
+    expect = [1]
+    for _ in range(e):
+        expect = _schoolbook_mulmod(K, f, expect, a)
+    assert ring.pow(a, e) == expect
+    # a long exponent splits: a^(e1 + e2) = a^e1 * a^e2
+    e1, e2 = data.draw(st.integers(0, 2**80)), data.draw(st.integers(0, 2**80))
+    assert ring.pow(a, e1 + e2) == ring.mul(ring.pow(a, e1), ring.pow(a, e2))
+
+
+@pytest.mark.parametrize(
+    "p, n, backend", [(2, 32, "rows"), (65521, 33, "numpy"), (2**61 - 1, 33, "lists")]
+)
+def test_ring_product_count_matches_model(p, n, backend):
+    """A product counts la*lb + max(0, la + lb - 1 - n)*t on every backend."""
+    rng = random.Random(n)
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    f[3] = f[7] = 0
+    ring = _ResidueRing(p, f)
+    assert ring.backend == backend
+    t = sum(1 for c in f[:n] if c)
+    for la, lb in [(n, n), (n, 5), (7, 9), (1, n), (0, 4)]:
+        a, b = ([rng.randrange(p) for _ in range(k - 1)] + [1] if k else [] for k in (la, lb))
+        with count_mults() as work:
+            ring.mul(a, b)
+        if la and lb:
+            assert work() == la * lb + max(0, la + lb - 1 - n) * t
+        else:
+            assert work() == 0
