@@ -15,6 +15,21 @@ exponentiation: p | d, a prime divisor of d coprime to p^m - 1, and the
 (4 | d, p = 3 mod 4, odd m) case. Each shortcut certifies reducibility for
 every nonzero alpha.
 
+``decide_b_xd`` computes each residue value by norm descent. A test raises
+c*alpha (c = 1, or c = -4 for the fourth-power test) to (q - 1)/g. When g
+divides p^s - 1 for a subfield F_{p^s} of F, the same value is
+N(c*alpha)^((p^s - 1)/g), where N is the norm from F to that subfield
+(Lidl & Niederreiter, Finite Fields, §2.3 and Thm 3.75). The subfields
+come from b alone: F_p, where N(alpha) = (-1)^m * b(0), and F_p(alpha^k) for
+each k dividing the gcd of the exponents of b's nonzero terms. There
+beta = alpha^k has minimal polynomial b_k(y) = sum of b_(ik) * y^i, and
+N(alpha) = (-1)^(k+1) * beta; the value is computed in F_p[y]/(b_k) and
+embedded by y^i -> x^(ik), with no reduction. The smallest subfield that
+holds the value is used, and the direct ladder in F otherwise. In a sparse
+tower every step is such a composition, so a step costs about as much as
+deciding at its base. Replay keeps the direct ladder, so generation and
+replay check each other.
+
 Accepted tower steps record every residue test performed; the resulting
 certificate can be replayed from scratch and must reproduce the evidence
 bit for bit.
@@ -24,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -37,7 +53,7 @@ from .errors import (
     TowerStepRejectedError,
 )
 from .ff import Element, ExtensionField, Poly, PrimeField, compose_power
-from .intops import distinct_prime_factors, is_prime, primes_up_to
+from .intops import distinct_prime_factors, divisors, is_prime, primes_up_to
 from .oracle import DEFAULT_WORK_BOUND, rabin_test
 
 __all__ = [
@@ -252,6 +268,44 @@ def decide_xd_minus_alpha(a: Element, d: int) -> Verdict:
     return Verdict(True, Reason.PASSES_ALL_RESIDUE_TESTS, tests=tuple(tests))
 
 
+class _DescentField(ExtensionField):
+    """F = F_p[x]/(b) whose residue-test powers of c*x (c in F_p) use norm descent.
+
+    Any other power, and a power whose value lies in no subfield known from
+    b, runs the ExtensionField ladder. See the module docstring.
+    """
+
+    __slots__ = ("_coarsenings",)
+
+    def __init__(self, b: Poly):
+        super().__init__(b.field, b, trusted=True)
+        gap = math.gcd(*(i for i, c in enumerate(b.coeffs) if c))
+        # k with F_p(alpha^k) a proper subfield of degree m/k, smallest subfield first
+        self._coarsenings = tuple(k for k in reversed(divisors(gap)) if 1 < k < self.degree)
+
+    def pow(self, a: tuple, e: int) -> tuple:
+        c = a[1]
+        if e < 1 or not c or a[0] or any(a[2:]) or self.order_minus_one % e:
+            return super().pow(a, e)
+        g = self.order_minus_one // e
+        K, p, m = self.base, self.p, self.degree
+        if (p - 1) % g == 0:
+            # N(c*alpha) = (-c)^m * b(0)
+            norm = pow(-c, m, p) * self.modulus[0] % p
+            return self.scalar(K.pow(norm, (p - 1) // g))
+        for k in self._coarsenings:
+            s = m // k
+            if pow(p, s, g) == 1:
+                # alpha is a root of x^k - beta over F_p(beta), beta = alpha^k,
+                # so N(c*alpha) = (-1)^(k+1) * c^k * beta
+                sub = ExtensionField(K, self.modulus[::k], trusted=True)
+                norm = (0, -pow(-c, k, p) % p) + (0,) * (s - 2)
+                out = [0] * m
+                out[::k] = sub.pow(norm, (p**s - 1) // g)
+                return tuple(out)
+        return super().pow(a, e)
+
+
 def decide_b_xd(
     b: Poly,
     d: int,
@@ -264,7 +318,7 @@ def decide_b_xd(
     b must be monic and irreducible over a prime field; irreducibility is
     verified with the oracle unless ``trusted=True``. The verdict consults
     the whole-field shortcuts first, then runs the residue tests on a root
-    of b in F_p[x]/(b).
+    of b in F_p[x]/(b), each in the smallest subfield that holds its value.
     """
     if not isinstance(b, Poly) or not isinstance(b.field, PrimeField):
         raise ValueError("b must be a polynomial over a prime field")
@@ -300,7 +354,7 @@ def decide_b_xd(
             )
         alpha = Element(K, alpha_raw)
     else:
-        F = ExtensionField(K, b, trusted=True)
+        F = _DescentField(b)
         alpha = Element(F, F.gen())
     return decide_xd_minus_alpha(alpha, d)
 
@@ -343,10 +397,17 @@ class TowerCertificate:
         return b
 
     def to_json_dict(self) -> dict:
+        """The JSON document; every integer is a decimal string.
+
+        An exponent has about m*log10(p) digits, past the interpreter's
+        int/str limit (4300 by default) once q > 10^4300. Decimal converts
+        without that limit and leaves it unchanged.
+        """
+
         def test_dict(t):
             return {
                 "dprime": str(t.dprime),
-                "exponent": str(t.exponent),
+                "exponent": str(Decimal(t.exponent)),
                 "result": [str(c) for c in t.result],
             }
 
@@ -359,7 +420,7 @@ class TowerCertificate:
             }
             if step.fourth_power is not None:
                 entry["fourth_power_test"] = {
-                    "exponent": str(step.fourth_power.exponent),
+                    "exponent": str(Decimal(step.fourth_power.exponent)),
                     "result": [str(c) for c in step.fourth_power.result],
                 }
             steps.append(entry)
@@ -373,15 +434,35 @@ class TowerCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TowerCertificate":
+        """Parse a document written by ``to_json_dict``.
+
+        An exponent must be a string of decimal digits no longer than
+        p^final_degree, which bounds every exponent; it is read with
+        Decimal, past the interpreter's int/str limit. A longer string is
+        rejected before it is converted.
+        """
         try:
             p = int(data["p"])
+            final_degree = int(data["final_degree"])
+            max_digits = math.floor(final_degree * math.log10(p)) + 1
+
+            def exponent(text) -> int:
+                if not isinstance(text, str) or not (text.isascii() and text.isdigit()):
+                    raise CertificateReplayError("an exponent must be a string of decimal digits")
+                if len(text) > max_digits:
+                    raise CertificateReplayError(
+                        f"exponent of {len(text)} digits exceeds the {max_digits} "
+                        f"digits of p^final_degree"
+                    )
+                return int(Decimal(text))
+
             base = tuple(int(c) for c in data["base"])
             steps = []
             for entry in data["steps"]:
                 prime_tests = tuple(
                     ResidueTest(
                         int(t["dprime"]),
-                        int(t["exponent"]),
+                        exponent(t["exponent"]),
                         tuple(int(c) for c in t["result"]),
                         False,
                     )
@@ -391,13 +472,13 @@ class TowerCertificate:
                 fourth_power = None
                 if fourth is not None:
                     fourth_power = FourthPowerTest(
-                        int(fourth["exponent"]),
+                        exponent(fourth["exponent"]),
                         tuple(int(c) for c in fourth["result"]),
                         False,
                     )
                 steps.append(TowerStep(int(entry["d"]), prime_tests, fourth_power))
-            return cls(p, base, tuple(steps), int(data["final_degree"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(p, base, tuple(steps), final_degree)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CertificateReplayError(f"malformed certificate document: {exc}") from exc
 
 

@@ -371,7 +371,12 @@ def _divmod_raw(K, a: list, b: list) -> tuple[list, list]:
 
 def _powmod_raw(K, base: list, e: int, mod: list) -> list:
     if isinstance(K, PrimeField):
-        return _ResidueRing(K.p, mod).pow(base, e)
+        p = K.p
+        if mod[-1] != 1:
+            # the remainder mod f equals the remainder mod f/lc(f)
+            inv_lead = pow(mod[-1], -1, p)
+            mod = [c * inv_lead % p for c in mod]
+        return _ResidueRing(p, mod).pow(base, e)
     # extension-coefficient polynomials stay small; a plain ladder suffices
     _, r = _divmod_raw(K, base, mod)
     if e == 0:

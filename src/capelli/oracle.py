@@ -149,7 +149,8 @@ def enumerate_irreducibles(
     """Yield every monic irreducible of degree m over F_p, ascending.
 
     Candidates are ordered by their little-endian coefficient index, so the
-    stream is deterministic and restartable.
+    stream is deterministic and restartable. Every linear candidate x + c is
+    irreducible and is yielded without a test.
     """
     field = p if isinstance(p, PrimeField) else PrimeField(p)
     if m < 1:
@@ -161,7 +162,7 @@ def enumerate_irreducibles(
         )
     for idx in range(total):
         cand = Poly.monic_from_index(field, m, idx)
-        if rabin_test(cand).irreducible:
+        if m == 1 or rabin_test(cand).irreducible:
             yield cand
 
 

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .criterion import decide_xd_minus_alpha, star_condition
@@ -119,6 +120,7 @@ def union_lower_bound(d: int) -> Fraction:
     return bound
 
 
+@lru_cache(maxsize=256)
 def _build_field(p: int, k: int, bound: int) -> Union[PrimeField, ExtensionField]:
     base = PrimeField(p)
     if k == 1:

@@ -1,8 +1,12 @@
 """The decision procedure: residue tests, shortcuts, verdicts, towers."""
 
 import json
+import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capelli import (
     CertificateReplayError,
@@ -18,6 +22,7 @@ from capelli import (
     TowerStepRejectedError,
     Verdict,
     compose_power,
+    count_mults,
     decide_b_xd,
     decide_xd_minus_alpha,
     enumerate_irreducibles,
@@ -29,6 +34,8 @@ from capelli import (
     replay_certificate,
     star_condition,
 )
+
+from capelli.intops import primes_up_to
 
 from conftest import field_of_order, prime_powers_up_to
 
@@ -250,6 +257,140 @@ def test_small_equivalence_grid():
                     assert fast == slow, (p, b.coeffs, d)
 
 
+# --- norm descent against the direct ladder --------------------------------------
+
+
+def _ladder_decision(b, d):
+    """The residue tests of decide_b_xd, run by the direct ladder in F_p[x]/(b)."""
+    F = ExtensionField(b.field, b, trusted=True)
+    return decide_xd_minus_alpha(Element(F, F.gen()), d)
+
+
+def _descends(b, d):
+    # decide_b_xd reaches the residue tests in F_p[x]/(b) only here
+    return b.degree >= 2 and reducibility_shortcuts(b.field.p, b.degree, d) is None
+
+
+def _descent_branches(monkeypatch, b, d):
+    """Where decide_b_xd(b, d) computed its residue values: F_p, a subfield, or F."""
+    seen = set()
+    ext_pow, prime_pow = ExtensionField.pow, PrimeField.pow
+
+    def traced_ext_pow(field, a, e):
+        seen.add("ladder" if field.degree == b.degree else "subfield")
+        return ext_pow(field, a, e)
+
+    def traced_prime_pow(field, a, e):
+        seen.add("prime field")
+        return prime_pow(field, a, e)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExtensionField, "pow", traced_ext_pow)
+        patch.setattr(PrimeField, "pow", traced_prime_pow)
+        decide_b_xd(b, d, trusted=True)
+    return seen
+
+
+def test_descent_matches_ladder_on_acceptance_grid():
+    """Every (b, d) of acceptance criterion 1; the residue tests run on m >= 2."""
+    pairs = compared = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in (1, 2, 3):
+            if p**m > 343:
+                break
+            for b in enumerate_irreducibles(p, m):
+                for d in range(2, 13):
+                    pairs += 1
+                    if _descends(b, d):
+                        compared += 1
+                        assert decide_b_xd(b, d, trusted=True) == _ladder_decision(b, d), (
+                            p, b.coeffs, d)
+    assert pairs == 4081
+    assert compared == 1925
+
+
+@lru_cache(maxsize=None)
+def _compositions():
+    """Every irreducible c(x^e) of degree <= 12, c monic irreducible of degree <= 2,
+    over F_p for p in {2, 3, 5, 7}."""
+    out = []
+    for p in (2, 3, 5, 7):
+        for k in (1, 2):
+            for c in enumerate_irreducibles(p, k):
+                for e in range(2, 12 // k + 1):
+                    b = compose_power(c, e)
+                    if rabin_test(b).irreducible:
+                        out.append(b)
+    return tuple(out)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_descent_matches_ladder_on_compositions(data):
+    b = data.draw(st.deferred(lambda: st.sampled_from(_compositions())))
+    d = data.draw(st.sampled_from([d for d in range(2, 65) if _descends(b, d)]))
+    assert decide_b_xd(b, d, trusted=True) == _ladder_decision(b, d)
+
+
+def test_descent_examples_hit_every_branch(monkeypatch):
+    examples = [
+        (Poly(F7, [4, 0, 1]), 3, {"prime field"}),  # 3 | 7 - 1
+        (Poly(F5, [2, 0, 1]), 4, {"prime field"}),  # both tests
+        (Poly(F2, [1, 0, 0, 1, 0, 0, 1]), 3, {"subfield"}),  # 3 | 2^2 - 1: F_2(alpha^3) = F_4
+        # d' = 2 in F_3, -4*alpha in F_3(alpha^2)
+        (Poly(F3, [2, 0, 1, 0, 1]), 4, {"prime field", "subfield"}),
+        (Poly(F2, [1, 0, 0, 1, 0, 0, 1]), 7, {"ladder"}),  # 7 does not divide 2^2 - 1
+    ]
+    for b, d, branches in examples:
+        assert _descends(b, d)
+        assert decide_b_xd(b, d, trusted=True) == _ladder_decision(b, d), (b, d)
+        assert _descent_branches(monkeypatch, b, d) == branches, (b, d)
+
+
+def test_descent_field_pow_matches_ladder():
+    """Every power of any element: descent for c*x at exponents (q-1)/g, else the ladder."""
+    from capelli.criterion import _DescentField
+
+    for b in (Poly(F3, [2, 0, 1, 0, 1]), Poly(F2, [1, 0, 0, 1, 0, 0, 1]), Poly(F5, [2, 0, 1])):
+        D, F = _DescentField(b), ExtensionField(b.field, b, trusted=True)
+        q1 = F.order_minus_one
+        exponents = [0, 1, 2, 5, q1 - 1] + [q1 // g for g in range(1, 17) if q1 % g == 0]
+        elements = [F.gen(), F.scalar(2), F.mul(F.scalar(-4), F.gen()), F.from_index(F.p + 1)]
+        for a in elements:
+            for e in exponents:
+                assert D.pow(a, e) == F.pow(a, e), (b, a, e)
+
+
+def test_descent_matches_ladder_on_towers():
+    b = Poly(F2, [1, 1, 1])
+    while b.degree <= 1458:
+        for d in (3, 7):
+            if _descends(b, d):
+                assert decide_b_xd(b, d, trusted=True) == _ladder_decision(b, d), (b.degree, d)
+        b = compose_power(b, 3)
+    # every candidate the tower search tries over F_{2^61-1} from x^2+2
+    p = 2**61 - 1
+    b = Poly(PrimeField(p), [2, 0, 1])
+    while b.degree <= 122:
+        for r in primes_up_to(61):
+            if pow(p, b.degree, r) == 1:
+                assert decide_b_xd(b, r, trusted=True) == _ladder_decision(b, r), (b.degree, r)
+        b = compose_power(b, 61)
+
+
+def test_descent_work_is_flat_along_a_tower():
+    """Over F_2 every d = 3 step from degree 18 to 4374 decides in F_4."""
+    b = compose_power(Poly(F2, [1, 1, 1]), 9)
+    work = []
+    while b.degree <= 4374:
+        with count_mults() as mults:
+            assert decide_b_xd(b, 3, trusted=True).irreducible
+        work.append(mults())
+        b = compose_power(b, 3)
+    assert len(work) == 6
+    assert len(set(work)) == 1, work
+
+
 def test_d_one_always_irreducible_p_divides_always_reducible():
     for p in (2, 3, 5, 7):
         K = PrimeField(p)
@@ -391,6 +532,28 @@ def test_certificate_json_roundtrip():
     assert replay_certificate(back)
     with pytest.raises(CertificateReplayError):
         TowerCertificate.from_json_dict({"p": "5"})
+
+
+def test_certificate_json_roundtrip_beyond_digit_limit():
+    # degree 118,098: the last exponent has 11,850 digits, past the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    cert = grow_tower(Poly(F2, [1, 1, 1]), target_degree=40000)
+    assert cert.final_degree == 118098
+    doc = cert.to_json_dict()
+    assert len(doc["steps"][-1]["prime_tests"][0]["exponent"]) == 11850
+    back = TowerCertificate.from_json_dict(json.loads(json.dumps(doc)))
+    assert back == cert
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_certificate_rejects_malformed_exponents():
+    # final degree 6: no exponent reaches 2^6 = 64, so none has more than 2 digits
+    doc = grow_tower(Poly(F2, [1, 1, 1]), [3]).to_json_dict()
+    assert TowerCertificate.from_json_dict(doc).steps[0].prime_tests[0].exponent == 1
+    for text in ("100", "9" * 50000, "1e0", " 1", 1):
+        doc["steps"][0]["prime_tests"][0]["exponent"] = text
+        with pytest.raises(CertificateReplayError):
+            TowerCertificate.from_json_dict(doc)
 
 
 def test_tower_trivial_steps():

@@ -102,6 +102,16 @@ def test_powmod_examples():
     assert poly_powmod(Poly.x(F2), 8, Poly(F2, [1, 1, 1])).coeffs == (1, 1)
 
 
+def test_powmod_non_monic_modulus_same_over_both_field_kinds():
+    # 2x^2 + 1 over F_3 has the monic associate x^2 + 2; over F_9 it stays non-monic
+    F9 = ExtensionField(F3, [1, 0, 1])
+    for e in (0, 1, 2, 5, 17):
+        got = poly_powmod(Poly.x(F3), e, Poly(F3, [1, 0, 2]))
+        assert got == poly_powmod(Poly.x(F3), e, Poly(F3, [2, 0, 1]))
+        ext = poly_powmod(Poly.x(F9), e, Poly(F9, [1, 0, 2]))
+        assert ext.coeffs == tuple(F9.scalar(c) for c in got.coeffs), e
+
+
 def test_powmod_validations():
     with pytest.raises(ZeroDivisionError):
         poly_powmod(Poly.x(F3), 2, Poly.zero(F3))

@@ -52,6 +52,15 @@ def test_census_examples():
     assert (c.irreducible_count, c.total) == (0, 2)
 
 
+def test_census_builds_each_field_once():
+    from capelli.prob import _build_field
+
+    exhaustive_census(3, 4, 2, oracle_fraction=0)
+    field = _build_field(3, 4, 10_000)
+    exhaustive_census(3, 4, 5, oracle_fraction=0)
+    assert _build_field(3, 4, 10_000) is field
+
+
 def test_census_bound():
     with pytest.raises(EnumerationBoundExceededError):
         exhaustive_census(10007, 1, 2, bound=10_000)
