@@ -341,10 +341,12 @@ def cmd_bench(args) -> int:
         oracle_ms = (time.perf_counter() - t1) * 1000
         oracle_mults = oracle_work()
 
-        if d == 1 or criterion_mults == 0:
-            ratio = 1.0
+        if d == 1:
+            speedup = "1.000"
+        elif criterion_mults == 0:
+            speedup = "inf"  # the criterion did no multiplications at all
         else:
-            ratio = oracle_mults / criterion_mults
+            speedup = f"{oracle_mults / criterion_mults:.3f}"
         rows.append(
             {
                 "step": str(i),
@@ -353,7 +355,7 @@ def cmd_bench(args) -> int:
                 "verdict": "irreducible" if verdict.irreducible else "reducible",
                 "criterion_mults": str(criterion_mults),
                 "oracle_mults": str(oracle_mults),
-                "speedup": f"{ratio:.3f}",
+                "speedup": speedup,
                 "_times": (criterion_ms, oracle_ms),
             }
         )

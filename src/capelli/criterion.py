@@ -27,8 +27,9 @@ N(alpha) = (-1)^(k+1) * beta; the value is computed in F_p[y]/(b_k) and
 embedded by y^i -> x^(ik), with no reduction. The smallest subfield that
 holds the value is used, and the direct ladder in F otherwise. In a sparse
 tower every step is such a composition, so a step costs about as much as
-deciding at its base. Replay keeps the direct ladder, so generation and
-replay check each other.
+deciding at its base. Replay does not descend: it raises alpha itself in
+F with the residue ring's ladder (Frobenius steps included), so generation
+and replay still check each other.
 
 Accepted tower steps record every residue test performed; the resulting
 certificate can be replayed from scratch and must reproduce the evidence

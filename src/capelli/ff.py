@@ -18,11 +18,19 @@ All arithmetic modulo a monic f over F_p goes through one residue ring,
 ``_ResidueRing(p, f)``: extension-field products and powers, and the
 modular powers of ``poly_powmod`` and the Rabin oracle. Inside it values
 are trimmed int lists, converted to padded tuples only at the
-``ExtensionField`` boundary. It has one square-and-multiply ladder, and
-its backend follows from p and deg f: precomputed fold rows for small
-degrees, int64 numpy kernels above that when the sums cannot overflow, and
-plain Python lists otherwise. Moduli with few nonzero terms reduce by
-folding, which is what makes high-degree sparse towers fast.
+``ExtensionField`` boundary. Its backend follows from p and deg f:
+precomputed fold rows for small degrees, int64 numpy kernels above that
+when the sums cannot overflow, and plain Python lists otherwise. Moduli
+with few nonzero terms reduce by folding, which is what makes high-degree
+sparse towers fast.
+
+The ring has one powering ladder. It reads the exponent in a radix r and
+spends, per digit, one step a -> a^r and one product by a^digit if the
+digit is nonzero. Over F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius
+step) is a spread of the coefficients to stride p and a fold by f, with no
+products. When one spread counts no more than one squaring in the work
+model, r = p and the step is a spread; otherwise (word-size p) r = 2 and
+the step is a squaring. For p = 2 the two differ only in that step.
 
 A per-thread work meter tallies coefficient multiplications by a fixed
 model of the operand sizes (see ``count_mults``), never by what a backend
@@ -85,12 +93,14 @@ def count_mults():
     x^n - f has t nonzero coefficients, a product of trimmed operands with
     la and lb coefficients counts la*lb + max(0, la + lb - 1 - n)*t: one
     multiplication per coefficient pair, and one per quotient coefficient
-    and low term to reduce. The count is the same on every backend. Outside
-    the ring, a polynomial product counts la*lb, a division by a divisor of
-    lb coefficients counts lb per quotient coefficient, and a power in F_p
-    counts 3/2 per exponent bit. Inside the block the reading is live; once
-    the block exits it freezes, so work done afterwards never leaks into
-    the figure.
+    and low term to reduce. A Frobenius step a -> a^p spreads la
+    coefficients over L = (la - 1)*p + 1 and counts only its fold,
+    max(0, L - n)*t, with no products. The count is the same on every
+    backend. Outside the ring, a polynomial product counts la*lb, a
+    division by a divisor of lb coefficients counts lb per quotient
+    coefficient, and a power in F_p counts 3/2 per exponent bit. Inside the
+    block the reading is live; once the block exits it freezes, so work
+    done afterwards never leaks into the figure.
     """
     m = _METER_LOCAL.meter
     start = m.mults
@@ -174,6 +184,47 @@ def _trim_np(r: np.ndarray) -> np.ndarray:
     return r[: nz[-1] + 1] if nz.size else r[:0]
 
 
+def _spreads(p: int, n: int, t: int) -> bool:
+    """Whether the ring's ladder runs on base-p digits.
+
+    It does when one Frobenius spread of a full residue counts no more than
+    one squaring, n^2 + (n - 1)t; t is the number of nonzero low terms of
+    f. The spread is charged (p - 1)(n - 1) max(t, 1): its fold, and for
+    t = 0 (f = x^n, where nothing folds) the length it writes. This keeps
+    word-size p on the binary ladder for every f and bounds a spread to
+    fewer than n^2/max(t, 1) + 2n coefficients.
+    """
+    return (p - 1) * (n - 1) * max(t, 1) <= n * n + (n - 1) * t
+
+
+def _base_digits(e: int, p: int) -> list[int]:
+    """The base-p digits of e > 0, most significant first."""
+    if p == 2:
+        return list(map(int, bin(e)[2:]))
+    k = max(1, 62 // p.bit_length())  # digits per word-size chunk
+    chunk = p**k
+    out = []
+    while e >= chunk:
+        e, r = divmod(e, chunk)
+        for _ in range(k):
+            r, d = divmod(r, p)
+            out.append(d)
+    while e:
+        e, d = divmod(e, p)
+        out.append(d)
+    out.reverse()
+    return out
+
+
+def _digit_power(powers: dict, j: int, mulmod):
+    """a^j from the table {1: a, ...}, adding it from a^(j//2) the first time."""
+    if j not in powers:
+        h = _digit_power(powers, j >> 1, mulmod)
+        h = mulmod(h, h)
+        powers[j] = mulmod(h, powers[1]) if j & 1 else h
+    return powers[j]
+
+
 class _ResidueRing:
     """Arithmetic in F_p[x]/(f) for one monic f of degree n >= 1.
 
@@ -183,10 +234,14 @@ class _ResidueRing:
     otherwise. Reduction rewrites x^n as low(x) = x^n - f one quotient
     coefficient at a time; numpy instead folds the whole high part at once
     when low has few terms. Every backend meters the same work (see
-    ``count_mults``).
+    ``count_mults``). The ladder in ``pow`` follows from (p, n, t) by
+    ``_spreads``.
     """
 
-    __slots__ = ("p", "n", "terms", "backend", "_rows", "_sparse", "_maxnz", "_low_np", "_mulmod")
+    __slots__ = (
+        "p", "n", "terms", "backend", "spreads",
+        "_rows", "_sparse", "_maxnz", "_low_np", "_mulmod", "_frob",
+    )
 
     def __init__(self, p: int, f: Sequence[int]):
         n = len(f) - 1
@@ -198,8 +253,9 @@ class _ResidueRing:
         self.n = n
         low = [(-c) % p for c in f[:n]]
         self.terms = tuple((j, c) for j, c in enumerate(low) if c)
+        self.spreads = _spreads(p, n, len(self.terms))
         self._rows = None
-        self._mulmod = self._mul_lists
+        self._mulmod, self._frob = self._mul_lists, self._frob_lists
         if n <= _ROWS_MAX_DEG:
             self.backend = "rows"
             # rows[t] holds the nonzero terms of x^(n+t) mod f
@@ -217,7 +273,7 @@ class _ResidueRing:
             folds = 1 + (n - 2) // (n - self._maxnz)
             self._sparse = len(self.terms) * folds * 4 <= n
             self._low_np = np.asarray(low, dtype=np.int64)
-            self._mulmod = self._mul_np
+            self._mulmod, self._frob = self._mul_np, self._frob_np
         else:
             self.backend = "lists"
 
@@ -237,11 +293,22 @@ class _ResidueRing:
             return self._mul_np(a, b).tolist()
         return self._mul_lists(a, b)
 
+    def frobenius(self, a: list[int]) -> list[int]:
+        """a^p mod f for reduced a: a(x^p) mod f, one spread and a fold
+        when ``spreads`` holds, else the binary ladder."""
+        return self.pow(a, self.p)
+
     def pow(self, a: list[int], e: int) -> list[int]:
-        """a^e mod f by square-and-multiply; e is any non-negative int."""
+        """a^e mod f; e is any non-negative int.
+
+        The ladder reads e in radix p when ``spreads`` holds, else in
+        radix 2. Each digit after the first costs one step, a Frobenius
+        step or a squaring, and one product by a^digit if it is nonzero;
+        in radix 2 that is square-and-multiply.
+        """
         a = self.reduce(a)
-        if e == 0:
-            return [1]
+        if e < 2:
+            return a if e else [1]
         if self.n == 1 and a:
             # residues are constants: hand the same ladder to the native pow
             _METER_LOCAL.meter.mults += e.bit_length() + e.bit_count() - 2
@@ -249,10 +316,19 @@ class _ResidueRing:
         numpy = self.backend == "numpy"
         r = base = np.asarray(a, dtype=np.int64) if numpy else a
         mulmod = self._mulmod
-        for bit in bin(e)[3:]:
-            r = mulmod(r, r)
-            if bit == "1":
-                r = mulmod(r, base)
+        if self.spreads:
+            frob, powers = self._frob, {1: base}
+            digits = _base_digits(e, self.p)
+            r = _digit_power(powers, digits[0], mulmod)
+            for d in digits[1:]:
+                r = frob(r)
+                if d:
+                    r = mulmod(r, _digit_power(powers, d, mulmod))
+        else:
+            for bit in bin(e)[3:]:
+                r = mulmod(r, r)
+                if bit == "1":
+                    r = mulmod(r, base)
         return r.tolist() if numpy else r
 
     # backends: products of reduced values, as lists or as int64 arrays ------
@@ -268,6 +344,16 @@ class _ResidueRing:
                 for k, bj in enumerate(b, i):
                     prod[k] += ai * bj
         return self._reduce_lists(prod)
+
+    def _frob_lists(self, a: list[int]) -> list[int]:
+        if not a:
+            return a
+        spread = [0] * ((len(a) - 1) * self.p + 1)
+        spread[:: self.p] = a
+        if len(spread) <= self.n:
+            return spread
+        _METER_LOCAL.meter.mults += (len(spread) - self.n) * len(self.terms)
+        return self._reduce_lists(spread)
 
     def _reduce_lists(self, a: list[int]) -> list[int]:
         # a: nonnegative ints, not yet reduced mod p; consumed
@@ -297,6 +383,16 @@ class _ResidueRing:
             return a[:0]
         _METER_LOCAL.meter.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
         return self._reduce_np(np.convolve(a, b) % self.p)
+
+    def _frob_np(self, a: np.ndarray) -> np.ndarray:
+        if not a.shape[0]:
+            return a
+        spread = np.zeros((a.shape[0] - 1) * self.p + 1, dtype=np.int64)
+        spread[:: self.p] = a
+        if spread.shape[0] <= self.n:
+            return spread
+        _METER_LOCAL.meter.mults += (spread.shape[0] - self.n) * len(self.terms)
+        return self._reduce_np(spread)
 
     def _reduce_np(self, r: np.ndarray) -> np.ndarray:
         # r: entries in [0, p); consumed
@@ -923,10 +1019,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_powmod(base: Poly, e: int, modulus: Poly) -> Poly:
-    """base^e reduced mod modulus, square-and-multiply over the exponent bits.
+    """base^e reduced mod modulus.
 
     The exponent is an arbitrary-size non-negative int; the run costs
-    O(bit length of e) modular multiplications.
+    O(bit length of e) modular multiplications. Over F_p it is the residue
+    ring's ladder, which takes Frobenius steps for small p.
     """
     base._same_field(modulus)
     if modulus.is_zero:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .errors import EnumerationBoundExceededError, WorkBoundExceededError
-from .ff import Poly, PrimeField, _divmod_raw, _gcd_raw, _powmod_raw
+from .ff import Poly, PrimeField, _divmod_raw, _gcd_raw, _powmod_raw, _spreads
 from .intops import distinct_prime_factors, divisors, mobius
 
 __all__ = [
@@ -52,6 +52,37 @@ def _raw_sub(K, a: list, b: list) -> list:
     return out
 
 
+def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
+    """An upper bound on the multiplications that rabin_test meters on f.
+
+    Over an extension field the generic ladder is charged 2n^3 per bit of
+    q. Over F_p the powers x^(p^k) on the chain are charged what the
+    residue ring meters for them, on the ladder the ring picks, with every
+    operand at full length: n Frobenius steps in all, each folding
+    (p - 1)(n - 1) coefficients by t terms, and no products, when it
+    spreads (see ``ff._spreads``, which also bounds the spread); else
+    a product of two full residues per square-and-multiply step of each
+    p^k. Each gcd is charged n(n + 2): a Euclid step from l to l' < l
+    coefficients meters (l - l' + 1)*l', at most 2(j - 1) for each j in
+    (l', l], so the steps from n + 1 coefficients meter at most n(n + 1),
+    and the final scaling at most n. Reducing x modulo a linear f costs 2,
+    and its powers are native, one per step.
+    """
+    n = len(f) - 1
+    if not isinstance(K, PrimeField):
+        return 2 * n**3 * K.order.bit_length()
+    p, t = K.p, n - f[:n].count(0)
+    work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
+    if n > 1 and _spreads(p, n, t):
+        return work + n * (p - 1) * (n - 1) * t
+    product, prev = n * n + (n - 1) * t, 0
+    for e in checkpoints + [n]:
+        pk = p ** (e - prev)
+        work += (pk.bit_length() + pk.bit_count() - 2) * product
+        prev = e
+    return work
+
+
 def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> OracleVerdict:
     """Rabin irreducibility test over the coefficient field of f.
 
@@ -69,18 +100,18 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
         raise ValueError("rabin_test requires degree >= 1")
     K = f.field
     q = K.order
+    fc = list(f.coeffs)
+    checkpoints = sorted({n // r for r in distinct_prime_factors(n)})
     if work_bound is not None:
-        estimate = 2 * n * n * n * q.bit_length()
+        estimate = _rabin_work(K, fc, checkpoints)
         if estimate > work_bound:
             raise WorkBoundExceededError(
                 f"rabin_test on degree {n} over a field of {q.bit_length()}-bit order "
                 f"needs about {estimate} multiplications (bound {work_bound})"
             )
-    fc = list(f.coeffs)
     x_red = _divmod_raw(K, [K.zero, K.one], fc)[1]
     h = x_red
     prev = 0
-    checkpoints = sorted({n // r for r in distinct_prime_factors(n)})
     for e in checkpoints:
         h = _powmod_raw(K, h, q ** (e - prev), fc)
         prev = e

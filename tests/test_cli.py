@@ -1,8 +1,12 @@
 """CLI behavior: exit codes, JSON stability, certificates, reports."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import capelli
 from capelli import TowerCertificate, replay_certificate
 from capelli.cli import main
 
@@ -179,6 +183,34 @@ def test_bench_degree_one_ratio_convention(capsys):
     report = json.loads(out)
     assert report["steps"][0]["d"] == "1"
     assert report["steps"][0]["speedup"] == "1.000"
+
+
+def test_bench_speedup_unbounded_when_criterion_does_no_work(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "3,3", "--json"
+    )
+    assert code == 0
+    for step in json.loads(out)["steps"]:
+        assert step["criterion_mults"] == "0"
+        assert step["speedup"] == "inf"
+
+
+def test_bench_oracle_fits_default_work_bound_at_degree_162(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "3,3,3,3", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["steps"][-1]["degree"] == "162"
+
+
+def test_module_entry_point():
+    src = pathlib.Path(capelli.__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "capelli", "--help"], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0
+    assert b"usage: capelli" in done.stdout
 
 
 def test_bench_speedup_present(capsys):

@@ -3,6 +3,7 @@
 import json
 import sys
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from capelli import (
     star_condition,
 )
 
+from capelli.ff import _ResidueRing
 from capelli.intops import primes_up_to
 
 from conftest import field_of_order, prime_powers_up_to
@@ -220,6 +222,16 @@ def test_decide_b_xd_examples():
     assert decide_b_xd(Poly(F3, [2, 1, 1]), 2).irreducible
     assert compose_power(Poly(F3, [2, 1, 1]), 2).coeffs == (2, 0, 1, 0, 1)
     assert rabin_test(compose_power(Poly(F3, [2, 1, 1]), 2)).irreducible
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_decide_b_xd_rejects_a_power_of_x_over_word_size_p(p):
+    K = PrimeField(p)
+    with patch.object(_ResidueRing, "_frob_lists", side_effect=AssertionError), patch.object(
+        _ResidueRing, "_frob_np", side_effect=AssertionError
+    ):
+        with pytest.raises(ReducibleInputError):
+            decide_b_xd(Poly(K, [0, 0, 1]), 2)
 
 
 def test_decide_b_xd_validations():

@@ -1,6 +1,7 @@
 """Field and polynomial arithmetic: spec'd examples plus algebraic laws."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from capelli import (
     ext_pow,
     poly_gcd,
     poly_powmod,
+    rabin_test,
 )
 
 from capelli.ff import _ResidueRing, _gen_divmod, _gen_mul, _strip
@@ -397,3 +399,110 @@ def test_ring_product_count_matches_model(p, n, backend):
             assert work() == la * lb + max(0, la + lb - 1 - n) * t
         else:
             assert work() == 0
+
+
+# --- the Frobenius ladder ------------------------------------------------------
+
+# p small enough that the ladder runs on base-p digits, with one n per backend:
+# rows, numpy, and numpy's n with int64 sums declared unsafe (plain lists)
+FROB_PRIMES = [2, 3, 5, 7, 13]
+FROB_BACKENDS = [("rows", 12), ("numpy", 33), ("lists", 33)]
+
+
+def _ring_on(backend, p, f):
+    if backend != "lists":
+        return _ResidueRing(p, f)
+    with patch("capelli.ff._np_safe", return_value=False):
+        return _ResidueRing(p, f)
+
+
+def _schoolbook_pow(K, f, a, e):
+    out, a = [1], _gen_divmod(K, a, f)[1]
+    for bit in bin(e)[2:]:
+        out = _schoolbook_mulmod(K, f, out, out)
+        if bit == "1":
+            out = _schoolbook_mulmod(K, f, out, a)
+    return out
+
+
+@st.composite
+def _frob_case(draw, p, n):
+    coeff, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    shape = draw(st.sampled_from(["trinomial", "dense", "power"]))
+    if shape == "dense":
+        f = draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+    else:
+        f = [0] * n + [1]
+        if shape == "trinomial":
+            f[0] = draw(unit)
+            f[draw(st.integers(1, n - 1))] = draw(unit)
+    a = _strip(draw(st.lists(coeff, min_size=0, max_size=n)), 0)
+    # p^k, an exponent (p^n - 1)/r of the residue tests, or a random one
+    e = draw(
+        st.one_of(
+            st.integers(0, n + 2).map(lambda k: p**k),
+            st.sampled_from([r for r in (2, 3, 5, 7, 11) if (p**n - 1) % r == 0] or [1]).map(
+                lambda r: (p**n - 1) // r
+            ),
+            st.integers(0, p ** (n + 2)),
+        )
+    )
+    return f, a, e
+
+
+@pytest.mark.parametrize("backend, n", FROB_BACKENDS)
+@pytest.mark.parametrize("p", FROB_PRIMES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_frobenius_ladder_matches_schoolbook(p, backend, n, data):
+    f, a, e = data.draw(_frob_case(p, n))
+    ring = _ring_on(backend, p, f)
+    assert ring.backend == backend
+    K = PrimeField(p)
+    with count_mults() as work:
+        frob = ring.frobenius(a)
+    assert frob == _schoolbook_pow(K, f, a, p)
+    if ring.spreads:
+        # one spread to (len(a) - 1)p + 1 coefficients, charged its fold alone
+        assert work() == max(0, (len(a) - 1) * p + 1 - n) * sum(1 for c in f[:n] if c)
+    assert ring.pow(a, e) == _schoolbook_pow(K, f, a, e)
+
+
+@pytest.mark.parametrize("p", FROB_PRIMES)
+def test_frobenius_powers_of_x_take_no_products(p):
+    """x^(p^k) is k Frobenius steps; no power a^j is built for digit 0."""
+    for n, f in [(12, [1] + [0] * 11 + [1]), (33, [1] + [0] * 15 + [p - 1] + [0] * 16 + [1])]:
+        ring = _ResidueRing(p, f)
+        assert ring.spreads
+        products = []
+        ring._mulmod = lambda a, b, mul=ring._mulmod: products.append(1) or mul(a, b)
+        K = PrimeField(p)
+        for k in (1, 2, n, n + 3):
+            assert ring.pow([0, 1], p**k) == _schoolbook_pow(K, f, [0, 1], p**k)
+        assert products == []
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1, 2**61 - 1])
+def test_word_size_p_keeps_the_binary_ladder(p):
+    rng = random.Random(p)
+    with patch.object(_ResidueRing, "_frob_lists", side_effect=AssertionError), patch.object(
+        _ResidueRing, "_frob_np", side_effect=AssertionError
+    ):
+        for n in (2, 32, 33):
+            trinomial = [1] + [0] * (n - 1) + [1]
+            trinomial[n // 2] = 1
+            # x^n has nothing to fold, but its spread would still be (n - 1)p + 1 long
+            for f in (trinomial, [rng.randrange(p) for _ in range(n)] + [1], [0] * n + [1]):
+                ring = _ResidueRing(p, f)
+                assert not ring.spreads
+                a = [rng.randrange(p) for _ in range(n - 1)] + [1]
+                for e in (p, p**2 + 1):
+                    ring.pow(a, e)
+
+
+def test_rabin_work_pinned_on_the_degree_1458_tower_member():
+    """x^1458 + x^729 + 1 over F_2: 1458 spreads and two gcds, no products."""
+    f = Poly(F2, [1] + [0] * 728 + [1] + [0] * 728 + [1])
+    with count_mults() as work:
+        assert rabin_test(f, work_bound=None).irreducible
+    assert work() == 1_960_037

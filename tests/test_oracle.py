@@ -1,5 +1,8 @@
 """Oracle tests: the two oracles against each other and against counts."""
 
+import random
+from unittest.mock import patch
+
 import pytest
 
 from capelli import (
@@ -7,12 +10,15 @@ from capelli import (
     Poly,
     PrimeField,
     WorkBoundExceededError,
+    count_mults,
     count_monic_irreducibles,
     enumerate_irreducibles,
     poly_powmod,
     rabin_test,
     trial_division_test,
 )
+
+from capelli.ff import _ResidueRing
 
 from conftest import field_of_order
 
@@ -43,6 +49,43 @@ def test_rabin_work_bound():
         rabin_test(f, work_bound=10_000)
     # an explicit generous budget lifts the refusal
     rabin_test(Poly(F2, [1, 1, 1]), work_bound=None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+def test_rabin_estimate_covers_the_metered_work(p):
+    """A budget one below the metered work is refused up front."""
+    rng = random.Random(p)
+    K = PrimeField(p)
+    cases = []
+    for n in (1, 2, 3, 4, 6, 12, 33):
+        sparse = [0] * n + [1]
+        sparse[0] = 1 + rng.randrange(p - 1)
+        if n > 1:
+            sparse[rng.randrange(1, n)] = 1 + rng.randrange(p - 1)
+        cases.append(sparse)
+        cases.append([rng.randrange(p) for _ in range(n)] + [1])
+        # an irreducible dense f runs the whole chain of Frobenius powers
+        dense = [rng.randrange(p) for _ in range(n)] + [1]
+        while not rabin_test(Poly(K, dense), work_bound=None).irreducible:
+            dense = [rng.randrange(p) for _ in range(n)] + [1]
+        cases.append(dense)
+    for coeffs in cases:
+        f = Poly(K, coeffs)
+        with count_mults() as work:
+            rabin_test(f, work_bound=None)
+        with pytest.raises(WorkBoundExceededError):
+            rabin_test(f, work_bound=work() - 1)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_rabin_rejects_a_power_of_x_over_word_size_p(p):
+    """x^2 has no low terms; the ladder must not spread it to stride p."""
+    K = PrimeField(p)
+    with patch.object(_ResidueRing, "_frob_lists", side_effect=AssertionError), patch.object(
+        _ResidueRing, "_frob_np", side_effect=AssertionError
+    ):
+        assert not rabin_test(Poly(K, [0, 0, 1])).irreducible
+        assert not rabin_test(Poly(K, [0] * 33 + [1])).irreducible
 
 
 def test_trial_division_examples():
