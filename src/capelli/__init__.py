@@ -17,6 +17,7 @@ from .criterion import (
     Verdict,
     ZeroRootEvidence,
     decide_b_xd,
+    decide_many,
     decide_xd_minus_alpha,
     grow_tower,
     is_nth_power,

@@ -246,6 +246,7 @@ def _census_report(args, convention: Convention) -> dict:
         convention,
         seed=args.seed,
         bound=args.census_bound,
+        work_bound=_work_bound(args),
     )
     return {
         "irreducible_count": str(census.irreducible_count),

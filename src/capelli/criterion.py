@@ -31,6 +31,10 @@ deciding at its base. Replay does not descend: it raises alpha itself in
 F with the residue ring's ladder (Frobenius steps included), so generation
 and replay still check each other.
 
+``decide_many`` decides x^d - alpha for a batch of alpha in one field, as
+the census and Monte Carlo need: the shortcuts and the residue plan once,
+then one vectorized ladder per prime d' dividing d.
+
 Accepted tower steps record every residue test performed; the resulting
 certificate can be replayed from scratch and must reproduce the evidence
 bit for bit.
@@ -43,7 +47,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     CapelliError,
@@ -69,6 +75,7 @@ __all__ = [
     "reducibility_shortcuts",
     "star_condition",
     "decide_xd_minus_alpha",
+    "decide_many",
     "decide_b_xd",
     "grow_tower",
     "TowerStep",
@@ -267,6 +274,44 @@ def decide_xd_minus_alpha(a: Element, d: int) -> Verdict:
                 tests=tuple(tests),
             )
     return Verdict(True, Reason.PASSES_ALL_RESIDUE_TESTS, tests=tuple(tests))
+
+
+def _equal_many(powers: np.ndarray, target) -> np.ndarray:
+    """Which entries (over F_p) or rows (over F_{p^m}) of powers equal target."""
+    if powers.ndim == 1:
+        return powers == target
+    return (powers == np.array(target, dtype=powers.dtype)).all(axis=1)
+
+
+def decide_many(field: Union[PrimeField, ExtensionField], d: int, values) -> np.ndarray:
+    """``decide_xd_minus_alpha(alpha, d).irreducible`` for a batch of alpha.
+
+    ``values`` holds nonzero raw values of ``field``: ints over F_p, an
+    (N, m) array or m-tuples over F_{p^m}. Returns a bool mask of length N.
+    The whole-field shortcuts and the residue plan are worked out once, and
+    each planned d'-th power test runs as one ladder over the values not
+    yet found reducible (``field.pow_many``); no Verdict is built.
+    ``decide_xd_minus_alpha`` stays the per-alpha reference.
+
+    The fourth-power test is not run: it cannot change the mask. When 4 | d
+    and no shortcut applies, q = 1 mod 4, so -4 = (1 + i)^4 is a fourth
+    power and -4*alpha is one only when alpha is a square, which the d' = 2
+    test has already found. Where q = 3 mod 4 the shortcut decides.
+    """
+    if not isinstance(d, int) or d < 1:
+        raise ValueError("d must be a positive integer")
+    batch = field.pow_many(values, 1)  # the values as the field's batch array
+    if _equal_many(batch, field.zero).any():
+        raise ValueError("alpha must be nonzero (x^d is trivially reducible for d >= 2)")
+    mask = np.ones(len(batch), dtype=bool)
+    if d == 1:
+        return mask
+    if reducibility_shortcuts(field.p, field.degree, d) is not None:
+        return ~mask
+    plan, _ = _residue_plan(field.order_minus_one, d)
+    for _, exponent in plan:
+        mask[mask] = ~_equal_many(field.pow_many(batch[mask], exponent), field.one)
+    return mask
 
 
 class _DescentField(ExtensionField):

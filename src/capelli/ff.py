@@ -22,7 +22,9 @@ are trimmed int lists, converted to padded tuples only at the
 precomputed fold rows for small degrees, int64 numpy kernels above that
 when the sums cannot overflow, and plain Python lists otherwise. Moduli
 with few nonzero terms reduce by folding, which is what makes high-degree
-sparse towers fast.
+sparse towers fast. A batch of residues, an (N, n) int64 array, is raised
+to a power by one square-and-multiply ladder over the whole batch, folded
+by the same rows (``pow_many``).
 
 The ring has one powering ladder. It reads the exponent in a radix r and
 spends, per digit, one step a -> a^r and one product by a^digit if the
@@ -96,11 +98,13 @@ def count_mults():
     and low term to reduce. A Frobenius step a -> a^p spreads la
     coefficients over L = (la - 1)*p + 1 and counts only its fold,
     max(0, L - n)*t, with no products. The count is the same on every
-    backend. Outside the ring, a polynomial product counts la*lb, a
-    division by a divisor of lb coefficients counts lb per quotient
-    coefficient, and a power in F_p counts 3/2 per exponent bit. Inside the
-    block the reading is live; once the block exits it freezes, so work
-    done afterwards never leaks into the figure.
+    backend. A batched product of N values (``pow_many``) counts N products
+    of full-length rows, N*(n^2 + (n - 1)*t), whatever the values' actual
+    lengths; over F_p it counts N. Outside the ring, a polynomial product
+    counts la*lb, a division by a divisor of lb coefficients counts lb per
+    quotient coefficient, and a power in F_p counts 3/2 per exponent bit.
+    Inside the block the reading is live; once the block exits it freezes,
+    so work done afterwards never leaks into the figure.
     """
     m = _METER_LOCAL.meter
     start = m.mults
@@ -331,6 +335,45 @@ class _ResidueRing:
                     r = mulmod(r, base)
         return r.tolist() if numpy else r
 
+    @property
+    def batches(self) -> bool:
+        """Whether ``pow_many`` applies: the ring folds by rows and the
+        int64 sums of a batched product (at most 2n - 1 terms below p^2 per
+        coefficient) cannot overflow."""
+        return self._rows is not None and _np_safe(self.p, 2 * self.n)
+
+    def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise a*b mod f for (N, n) int64 arrays of reduced values.
+
+        A batched schoolbook product, folded from the top by the rows
+        x^(n+t) mod f; requires ``batches``. Counts N products of
+        full-length rows (see ``count_mults``).
+        """
+        count, n, p = a.shape[0], self.n, self.p
+        _METER_LOCAL.meter.mults += count * (n * n + (n - 1) * len(self.terms))
+        prod = np.zeros((count, 2 * n - 1), dtype=np.int64)
+        for i in range(n):
+            prod[:, i : i + n] += a[:, i : i + 1] * b
+        for k in range(2 * n - 2, n - 1, -1):
+            c = prod[:, k] % p
+            for j, t in self._rows[k - n]:
+                prod[:, j] += c * t
+        return prod[:, :n] % p
+
+    def pow_many(self, a: np.ndarray, e: int) -> np.ndarray:
+        """Row-wise a^e mod f for an (N, n) int64 array of reduced values,
+        by one square-and-multiply ladder over the whole batch."""
+        if e == 0:
+            out = np.zeros_like(a)
+            out[:, 0] = 1
+            return out
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul_many(r, r)
+            if bit == "1":
+                r = self.mul_many(r, a)
+        return r
+
     # backends: products of reduced values, as lists or as int64 arrays ------
 
     def _mul_lists(self, a: list[int], b: list[int]) -> list[int]:
@@ -559,6 +602,30 @@ class PrimeField:
         _METER_LOCAL.meter.mults += (e.bit_length() * 3) // 2
         return pow(a, e, self.p)
 
+    def pow_many(self, a: Sequence[int], e: int) -> np.ndarray:
+        """a_i^e for each raw value of a, by one square-and-multiply ladder.
+
+        The ladder runs on an int64 array when products fit
+        (``_np_safe(p, 1)``), else native pow runs per value and the
+        result is an object array of ints. Each step counts len(a)
+        products, as a power in a residue ring of degree 1 does.
+        """
+        if e < 0:
+            raise ValueError("exponent must be non-negative")
+        p = self.p
+        _METER_LOCAL.meter.mults += len(a) * max(0, e.bit_length() + e.bit_count() - 2)
+        if not _np_safe(p, 1):
+            return np.array([pow(int(v), e, p) for v in a], dtype=object)
+        base = np.asarray(a, dtype=np.int64)
+        if e == 0:
+            return np.ones_like(base)
+        r = base
+        for bit in bin(e)[3:]:
+            r = r * r % p
+            if bit == "1":
+                r = r * base % p
+        return r
+
     # conversions and iteration ----------------------------------------------
 
     def coerce(self, value) -> int:
@@ -705,6 +772,23 @@ class ExtensionField:
             raise ValueError("exponent must be non-negative")
         return self._residue(self._ring.pow(_strip(list(a), 0), e))
 
+    def pow_many(self, a, e: int) -> np.ndarray:
+        """a_i^e for each row a_i of a, an (N, m) array of raw values.
+
+        One ladder over the whole batch (``_ResidueRing.pow_many``) when the
+        ring ``batches``; otherwise ``pow`` per value, returned as an (N, m)
+        object array of ints.
+        """
+        if e < 0:
+            raise ValueError("exponent must be non-negative")
+        ring, m = self._ring, self.degree
+        if ring.batches:
+            return ring.pow_many(np.asarray(a, dtype=np.int64).reshape(-1, m), e)
+        out = np.empty((len(a), m), dtype=object)
+        for i, v in enumerate(a):
+            out[i] = self.pow(tuple(map(int, v)), e)
+        return out
+
     # conversions and iteration ----------------------------------------------
 
     def coerce(self, value) -> tuple:
@@ -736,6 +820,13 @@ class ExtensionField:
             i, r = divmod(i, p)
             digits.append(r)
         return tuple(digits)
+
+    def from_indices(self, indices: np.ndarray) -> np.ndarray:
+        """``from_index`` for each entry of an int64 array, as an (N, m) array."""
+        if indices.size and not 0 <= indices.min() <= indices.max() < self.order:
+            raise ValueError("index out of range")
+        powers = np.array([self.p**i for i in range(self.degree)], dtype=np.int64)
+        return indices[:, None] // powers % self.p
 
     def to_index(self, a: tuple) -> int:
         out = 0

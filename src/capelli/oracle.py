@@ -55,30 +55,45 @@ def _raw_sub(K, a: list, b: list) -> list:
 def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
     """An upper bound on the multiplications that rabin_test meters on f.
 
-    Over an extension field the generic ladder is charged 2n^3 per bit of
-    q. Over F_p the powers x^(p^k) on the chain are charged what the
-    residue ring meters for them, on the ladder the ring picks, with every
-    operand at full length: n Frobenius steps in all, each folding
-    (p - 1)(n - 1) coefficients by t terms, and no products, when it
-    spreads (see ``ff._spreads``, which also bounds the spread); else
-    a product of two full residues per square-and-multiply step of each
-    p^k. Each gcd is charged n(n + 2): a Euclid step from l to l' < l
-    coefficients meters (l - l' + 1)*l', at most 2(j - 1) for each j in
-    (l', l], so the steps from n + 1 coefficients meter at most n(n + 1),
-    and the final scaling at most n. Reducing x modulo a linear f costs 2,
-    and its powers are native, one per step.
+    Over F_p the powers x^(p^k) on the chain are charged what the residue
+    ring meters for them, on the ladder the ring picks, with every operand
+    at full length: n Frobenius steps in all, each folding (p - 1)(n - 1)
+    coefficients by t terms, and no products, when it spreads (see
+    ``ff._spreads``, which also bounds the spread); else a product of two
+    full residues per square-and-multiply step of each p^k. Each gcd is
+    charged n(n + 2): a Euclid step from l to l' < l coefficients meters
+    (l - l' + 1)*l', at most 2(j - 1) for each j in (l', l], so the steps
+    from n + 1 coefficients meter at most n(n + 1), and the final scaling
+    at most n. Reducing x modulo a linear f costs 2, and its powers are
+    native, one per step.
+
+    Over K = F_p[y]/(g) of degree m the generic ladder runs, and the same
+    counts are charged in products of K, each at most M = m^2 + (m - 1)t_g,
+    plus inversions in K, each an extended Euclid over F_p metering at most
+    2m(m + 1). A square-and-multiply step charges n^2 products, one
+    inversion of f's leading coefficient, and per quotient coefficient one
+    product for the coefficient and one per nonzero low term of f. Each gcd
+    inverts once per Euclid step, at most n of them, and once to scale.
     """
     n = len(f) - 1
-    if not isinstance(K, PrimeField):
-        return 2 * n**3 * K.order.bit_length()
-    p, t = K.p, n - f[:n].count(0)
-    work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
-    if n > 1 and _spreads(p, n, t):
-        return work + n * (p - 1) * (n - 1) * t
-    product, prev = n * n + (n - 1) * t, 0
+    if isinstance(K, PrimeField):
+        p, t = K.p, n - f[:n].count(0)
+        work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
+        if n > 1 and _spreads(p, n, t):
+            return work + n * (p - 1) * (n - 1) * t
+        step = n * n + (n - 1) * t
+    else:
+        m, t = K.degree, n - f[:n].count(K.zero)
+        mul = m * m + (m - 1) * (m - K.modulus[:m].count(0))
+        inv = 2 * m * (m + 1)
+        work = (inv + 2 * mul if n == 1 else 0) + len(checkpoints) * (
+            n * (n + 2) * mul + (n + 1) * inv
+        )
+        step = (n * n + (n - 1) * (t + 1)) * mul + inv
+    prev = 0
     for e in checkpoints + [n]:
-        pk = p ** (e - prev)
-        work += (pk.bit_length() + pk.bit_count() - 2) * product
+        qk = K.order ** (e - prev)
+        work += (qk.bit_length() + qk.bit_count() - 2) * step
         prev = e
     return work
 

@@ -2,9 +2,14 @@
 
 Three independent routes to the same quantity keep each other honest: the
 closed product formula (zero when the whole-field shortcuts apply), the
-union lower bound, and an exhaustive census that decides every alpha
-separately and spot-checks a sample against the brute-force oracle. A
-seeded Monte Carlo estimator rounds out the empirical side.
+union lower bound, and an exhaustive census. The census decides every unit
+in one batch (``criterion.decide_many``: the shortcuts and the residue plan
+once, then one vectorized ladder per prime d' | d) and counts the
+mask. A random subsample then checks each sampled mask entry against the
+per-alpha ``decide_xd_minus_alpha``, which stays the reference, and
+against the brute-force Rabin oracle on x^d - alpha. A seeded Monte Carlo
+estimator rounds out the empirical side; it draws alpha in the same order
+as a per-alpha loop and decides them in batches.
 
 Unless asked otherwise, probabilities are over the units (alpha uniform on
 the multiplicative group). The include-zero convention enlarges only the
@@ -21,7 +26,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .criterion import decide_xd_minus_alpha, star_condition
+import numpy as np
+
+from .criterion import decide_many, decide_xd_minus_alpha, star_condition
 from .errors import CapelliError, EnumerationBoundExceededError, OracleDisagreementError
 from .ff import Element, ExtensionField, Poly, PrimeField
 from .intops import distinct_prime_factors, is_prime
@@ -41,6 +48,8 @@ __all__ = [
     "exhaustive_census",
     "monte_carlo_estimate",
 ]
+
+_SAMPLE_BATCH = 1 << 12  # alpha decided per batch by monte_carlo_estimate
 
 
 class Convention(str, Enum):
@@ -144,9 +153,11 @@ def exhaustive_census(
     """Decide x^d - alpha for every unit alpha of F_{p^k} and count.
 
     For k > 1 the field is built on the first monic irreducible of degree k
-    in enumeration order. A random subsample (fraction ``oracle_fraction``
-    of the units, optionally capped at ``oracle_cap``) is re-tested against
-    the Rabin oracle on the literal polynomial x^d - alpha; any mismatch
+    in enumeration order. The count is that of ``decide_many``'s mask. A
+    random subsample (fraction ``oracle_fraction`` of the units, optionally
+    capped at ``oracle_cap``) compares three answers for each sampled alpha:
+    the mask entry, ``decide_xd_minus_alpha`` and the Rabin oracle on the
+    literal polynomial x^d - alpha (under ``work_bound``); any disagreement
     raises. Set ``oracle_fraction=0`` to skip the cross-check in bulk sweeps.
     """
     _validate(p, k, d)
@@ -157,11 +168,9 @@ def exhaustive_census(
             f"census over a field of order {q} exceeds the bound {bound}"
         )
     field = _build_field(p, k, bound)
-    count = 0
-    for i in range(1, q):
-        alpha = Element(field, field.from_index(i))
-        if decide_xd_minus_alpha(alpha, d).irreducible:
-            count += 1
+    indices = np.arange(1, q, dtype=np.int64)
+    mask = decide_many(field, d, indices if k == 1 else field.from_indices(indices))
+    count = int(mask.sum())
     if oracle_fraction > 0:
         samples = math.ceil(oracle_fraction * (q - 1))
         if oracle_cap is not None:
@@ -174,10 +183,12 @@ def exhaustive_census(
             verdict = decide_xd_minus_alpha(Element(field, raw), d)
             binomial = Poly(field, [field.neg(raw)] + [zero] * (d - 1) + [one])
             oracle = rabin_test(binomial, work_bound=work_bound)
-            if oracle.irreducible != verdict.irreducible:
+            counted = bool(mask[i - 1])
+            if not counted == verdict.irreducible == oracle.irreducible:
                 raise OracleDisagreementError(
-                    f"criterion and oracle disagree on x^{d} - alpha for alpha index {i} "
-                    f"over a field of order {q}"
+                    f"on x^{d} - alpha for alpha index {i} over a field of order {q}, "
+                    f"the batched decision says {counted}, the per-alpha criterion "
+                    f"{verdict.irreducible} and the oracle {oracle.irreducible}"
                 )
     total = q - 1 if convention is Convention.UNITS_ONLY else q
     return CensusResult(q=q, irreducible_count=count, total=total, convention=convention)
@@ -196,7 +207,8 @@ def monte_carlo_estimate(
 
     Fully deterministic for fixed (seed, parameters): the seed drives both
     the modulus search (random monic candidates, Rabin-tested, at most
-    50*k attempts by default) and the alpha stream. stderr is the plug-in
+    50*k attempts by default) and the alpha stream, which ``decide_many``
+    decides in batches of at most ``_SAMPLE_BATCH``. stderr is the plug-in
     binomial standard error sqrt(phat*(1-phat)/trials).
     """
     _validate(p, k, d)
@@ -221,10 +233,11 @@ def monte_carlo_estimate(
         field = ExtensionField(base, modulus, trusted=True)
     q = field.order
     successes = 0
-    for _ in range(trials):
-        alpha = Element(field, field.from_index(rng.randrange(1, q)))
-        if decide_xd_minus_alpha(alpha, d).irreducible:
-            successes += 1
+    for start in range(0, trials, _SAMPLE_BATCH):
+        # the per-alpha draw order, in batches, so memory does not grow with trials
+        drawn = [rng.randrange(1, q) for _ in range(min(_SAMPLE_BATCH, trials - start))]
+        values = drawn if k == 1 else [field.from_index(i) for i in drawn]
+        successes += int(decide_many(field, d, values).sum())
     estimate = Fraction(successes, trials)
     phat = successes / trials
     stderr = math.sqrt(phat * (1.0 - phat) / trials)

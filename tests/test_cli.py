@@ -120,6 +120,13 @@ def test_prob_reports(capsys):
     assert (r["census"]["irreducible_count"], r["census"]["total"]) == ("2", "5")
 
 
+def test_prob_census_passes_the_work_bound_to_its_oracle(capsys):
+    argv = ["prob", "-p", "3", "-k", "2", "-d", "4", "--census", "--json"]
+    assert run_cli(capsys, *argv, "--work-bound", "100")[0] == 2
+    code, out, _ = run_cli(capsys, *argv, "--work-bound", "0")
+    assert code == 0 and json.loads(out)["census"]["irreducible_count"] == "4"
+
+
 def test_generate_writes_replayable_certificate(tmp_path, capsys):
     cert_path = tmp_path / "tower.json"
     code, out, _ = run_cli(

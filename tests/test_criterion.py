@@ -1,10 +1,12 @@
 """The decision procedure: residue tests, shortcuts, verdicts, towers."""
 
 import json
+import random
 import sys
 from functools import lru_cache
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from capelli import (
     compose_power,
     count_mults,
     decide_b_xd,
+    decide_many,
     decide_xd_minus_alpha,
     enumerate_irreducibles,
     grow_tower,
@@ -141,6 +144,79 @@ def test_decide_xd_examples():
     assert v.irreducible and v.reason == Reason.DEGREE_ONE
     with pytest.raises(ValueError):
         decide_xd_minus_alpha(F7(0), 3)
+
+
+def _random_field(p, k, seed):
+    """F_p, or F_p[y]/(g) for the first irreducible monic g that a seeded stream draws."""
+    K = PrimeField(p)
+    if k == 1:
+        return K
+    rng = random.Random(seed)
+    while True:
+        g = Poly(K, [rng.randrange(p) for _ in range(k)] + [1])
+        if rabin_test(g, work_bound=None).irreducible:
+            return ExtensionField(K, g, trusted=True)
+
+
+def _per_alpha_mask(F, d, values):
+    return [decide_xd_minus_alpha(Element(F, v), d).irreducible for v in values]
+
+
+# p = 2 and odd p with k from 1 to 9; word-size p runs native pow per value,
+# and so do (2^61 - 1, 2) and (2, 33), whose rings do not batch
+BATCH_FIELDS = (
+    [(2, k) for k in range(1, 10)]
+    + [(3, k) for k in range(1, 7)]
+    + [(5, 1), (5, 2), (5, 4), (7, 1), (7, 3), (13, 2), (65521, 1), (65521, 2)]
+    + [(2**31 - 1, 1), (2**61 - 1, 1), (2**64 - 59, 1), (2**61 - 1, 2), (2, 33)]
+)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_decide_many_matches_per_alpha_verdicts(data):
+    p, k = data.draw(st.sampled_from(BATCH_FIELDS), label="p, k")
+    F = _random_field(p, k, data.draw(st.integers(0, 2**16), label="modulus seed"))
+    d = data.draw(st.one_of(st.integers(1, 24), st.sampled_from([4, 8, 12, 16, 20, 24])))
+    indices = data.draw(st.lists(st.integers(1, F.order - 1), max_size=40), label="indices")
+    values = [F.from_index(i) for i in indices]
+    assert decide_many(F, d, values).tolist() == _per_alpha_mask(F, d, values)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13, 16, 25, 27, 49, 81, 125, 512])
+def test_decide_many_matches_per_alpha_on_every_unit(q):
+    """The census's input: every unit, as an index array or an (N, m) array."""
+    F = field_of_order(q)
+    indices = np.arange(1, q, dtype=np.int64)
+    batch = indices if F.degree == 1 else F.from_indices(indices)
+    values = [F.from_index(i) for i in range(1, q)]
+    for d in range(1, 17):
+        assert decide_many(F, d, batch).tolist() == _per_alpha_mask(F, d, values), d
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fourth_power_test_decides_only_where_a_shortcut_applies(data):
+    """Why decide_many runs no fourth-power test: with 4 | d and no shortcut,
+    -4*alpha is a fourth power only when alpha is a square."""
+    p, k = data.draw(st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2),
+                                      (11, 3), (13, 1), (13, 2), (65521, 1), (2**61 - 1, 1)]))
+    F = _random_field(p, k, data.draw(st.integers(0, 2**16)))
+    d = 4 * data.draw(st.integers(1, 6))
+    alpha = Element(F, F.from_index(data.draw(st.integers(1, F.order - 1))))
+    if decide_xd_minus_alpha(alpha, d).reason is Reason.MINUS4ALPHA_IS_FOURTH_POWER:
+        assert reducibility_shortcuts(p, k, d) is not None
+
+
+def test_decide_many_validations():
+    F9 = field_of_order(9)
+    assert decide_many(F9, 4, []).shape == (0,)
+    with pytest.raises(ValueError):
+        decide_many(F9, 2, [F9.one, F9.zero])
+    with pytest.raises(ValueError):
+        decide_many(F7, 0, [1, 2])
+    with pytest.raises(ValueError):
+        decide_many(PrimeField(2**61 - 1), 1, [0])
 
 
 def test_decide_evidence_order_is_fixed():

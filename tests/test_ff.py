@@ -3,6 +3,7 @@
 import random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -399,6 +400,54 @@ def test_ring_product_count_matches_model(p, n, backend):
             assert work() == la * lb + max(0, la + lb - 1 - n) * t
         else:
             assert work() == 0
+
+
+@pytest.mark.parametrize("p, n", [(2, 9), (5, 9), (2, 32), (65521, 32)])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_ring_pow_many_matches_pow_and_counts_full_rows(p, n, data):
+    """The batched ladder gives the ring's powers and counts N full-row products
+    per square-and-multiply step."""
+    f, a, b = data.draw(_ring_case(p, n))
+    e = data.draw(st.integers(0, 2**40))
+    ring = _ResidueRing(p, f)
+    assert ring.batches
+    rows = [a, b, ring.mul(a, b), [], [1]]
+    batch = np.array([r + [0] * (n - len(r)) for r in rows], dtype=np.int64)
+    with count_mults() as work:
+        got = ring.pow_many(batch, e)
+    assert [_strip(row.tolist(), 0) for row in got] == [ring.pow(r, e) for r in rows]
+    t = sum(1 for c in f[:n] if c)
+    steps = max(0, e.bit_length() + e.bit_count() - 2)
+    assert work() == len(rows) * steps * (n * n + (n - 1) * t)
+
+
+def test_ring_batches_only_on_rows_with_int64_headroom():
+    assert _ResidueRing(65521, [1] + [0] * 31 + [1]).batches
+    assert not _ResidueRing(2**31 - 1, [1] + [0] * 31 + [1]).batches
+    assert not _ResidueRing(2, [1] + [0] * 32 + [1]).batches
+
+
+@pytest.mark.parametrize("p", [65521, 2**61 - 1, 2**64 - 59])
+def test_prime_field_pow_many_matches_pow_and_counts(p):
+    """int64 ladder or native pow per value, each step counting N products."""
+    rng = random.Random(p)
+    K = PrimeField(p)
+    values = [rng.randrange(p) for _ in range(20)]
+    for e in (0, 1, 2, 3, p - 1, (p - 1) // 2, rng.randrange(2**90)):
+        with count_mults() as work:
+            got = K.pow_many(values, e)
+        assert [int(v) for v in got] == [pow(v, e, p) for v in values]
+        assert work() == len(values) * max(0, e.bit_length() + e.bit_count() - 2)
+
+
+def test_from_indices_matches_from_index():
+    F = field_of_order(125)
+    got = F.from_indices(np.arange(125, dtype=np.int64))
+    assert [tuple(row) for row in got.tolist()] == [F.from_index(i) for i in range(125)]
+    for bad in ([125], [-1, 3]):
+        with pytest.raises(ValueError):
+            F.from_indices(np.array(bad, dtype=np.int64))
 
 
 # --- the Frobenius ladder ------------------------------------------------------

@@ -77,6 +77,35 @@ def test_rabin_estimate_covers_the_metered_work(p):
             rabin_test(f, work_bound=work() - 1)
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_rabin_estimate_covers_the_metered_work_over_extension_fields(q):
+    """Over F_4 and F_9 too, a budget one below the metered work is refused."""
+    K = field_of_order(q)
+    rng = random.Random(q)
+
+    def coeff(low=0):
+        return K.from_index(rng.randrange(low, q))
+
+    cases = []
+    for n in range(1, 7):
+        sparse = [K.zero] * n + [K.one]
+        sparse[0] = coeff(1)
+        if n > 1:
+            sparse[rng.randrange(1, n)] = coeff(1)
+        cases.append(sparse)
+        cases.append([coeff() for _ in range(n)] + [K.one])
+        dense = [coeff() for _ in range(n)] + [K.one]
+        while not rabin_test(Poly(K, dense), work_bound=None).irreducible:
+            dense = [coeff() for _ in range(n)] + [K.one]
+        cases.append(dense)
+    for coeffs in cases:
+        f = Poly(K, coeffs)
+        with count_mults() as work:
+            rabin_test(f, work_bound=None)
+        with pytest.raises(WorkBoundExceededError):
+            rabin_test(f, work_bound=work() - 1)
+
+
 @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
 def test_rabin_rejects_a_power_of_x_over_word_size_p(p):
     """x^2 has no low terms; the ladder must not spread it to stride p."""

@@ -1,18 +1,29 @@
 """Probability model: formulas, censuses, and the Monte Carlo estimator."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from capelli import (
     Convention,
+    Element,
     EnumerationBoundExceededError,
+    ExtensionField,
+    OracleDisagreementError,
+    Poly,
+    PrimeField,
+    Reason,
+    Verdict,
+    decide_xd_minus_alpha,
     exact_probability,
     exhaustive_census,
     monte_carlo_estimate,
+    rabin_test,
     star_condition,
     union_lower_bound,
 )
+from capelli import prob
 
 from conftest import prime_powers_up_to
 
@@ -59,6 +70,32 @@ def test_census_builds_each_field_once():
     field = _build_field(3, 4, 10_000)
     exhaustive_census(3, 4, 5, oracle_fraction=0)
     assert _build_field(3, 4, 10_000) is field
+
+
+@pytest.mark.parametrize("index", [1, 6, 80])
+def test_census_subsample_catches_a_corrupted_mask(index, monkeypatch):
+    """The count comes from the mask, so the subsample checks the mask itself."""
+    batched = prob.decide_many
+
+    def corrupted(field, d, values):
+        mask = batched(field, d, values)
+        mask[index - 1] = not mask[index - 1]
+        return mask
+
+    monkeypatch.setattr(prob, "decide_many", corrupted)
+    with pytest.raises(OracleDisagreementError, match=f"alpha index {index} "):
+        exhaustive_census(3, 4, 4, oracle_fraction=1.0)
+
+
+def test_census_subsample_catches_a_wrong_per_alpha_verdict(monkeypatch):
+    def flipped(alpha, d):
+        if decide_xd_minus_alpha(alpha, d).irreducible:
+            return Verdict(False, Reason.ALPHA_IS_DPRIME_POWER)
+        return Verdict(True, Reason.PASSES_ALL_RESIDUE_TESTS)
+
+    monkeypatch.setattr(prob, "decide_xd_minus_alpha", flipped)
+    with pytest.raises(OracleDisagreementError):
+        exhaustive_census(5, 2, 3, oracle_fraction=0.05)
 
 
 def test_census_bound():
@@ -130,3 +167,33 @@ def test_monte_carlo_validations():
         monte_carlo_estimate(7, 1, 3, 0)
     with pytest.raises(ValueError):
         monte_carlo_estimate(8, 1, 3, 10)
+
+
+def _per_alpha_successes(p, k, d, trials, seed):
+    """monte_carlo_estimate's draws, decided one alpha at a time."""
+    rng = random.Random(seed)
+    F = PrimeField(p)
+    if k > 1:
+        while True:
+            g = Poly(F, [rng.randrange(p) for _ in range(k)] + [1])
+            if rabin_test(g).irreducible:
+                break
+        F = ExtensionField(F, g, trusted=True)
+    drawn = (F.from_index(rng.randrange(1, F.order)) for _ in range(trials))
+    return sum(decide_xd_minus_alpha(Element(F, v), d).irreducible for v in drawn)
+
+
+@pytest.mark.parametrize(
+    "p, k, d, trials, pinned",
+    [(3, 6, 4, 6000, {1: 2971, 2: 3003}), (2**61 - 1, 1, 6, 3000, {1: 1023, 2: 1004})],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_monte_carlo_matches_the_per_alpha_loop(p, k, d, trials, pinned, seed):
+    mc = monte_carlo_estimate(p, k, d, trials, seed=seed)
+    assert mc.successes == _per_alpha_successes(p, k, d, trials, seed) == pinned[seed]
+
+
+def test_monte_carlo_batches_keep_the_draw_order(monkeypatch):
+    expected = _per_alpha_successes(5, 3, 8, 500, 3)
+    monkeypatch.setattr(prob, "_SAMPLE_BATCH", 7)
+    assert monte_carlo_estimate(5, 3, 8, 500, seed=3).successes == expected
