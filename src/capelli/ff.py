@@ -103,8 +103,12 @@ def count_mults():
     lengths; over F_p it counts N. Outside the ring, a polynomial product
     counts la*lb, a division by a divisor of lb coefficients counts lb per
     quotient coefficient, and a power in F_p counts 3/2 per exponent bit.
-    Inside the block the reading is live; once the block exits it freezes,
-    so work done afterwards never leaks into the figure.
+    Trial division of f of degree n counts, for each candidate divisor it
+    tries up to and including the witness, that division: (n - j + 1)(j + 1)
+    for a monic candidate of degree j over F_p, on the batched route as on
+    the per-candidate one. Inside the block the reading is live; once the
+    block exits it freezes, so work done afterwards never leaks into the
+    figure.
     """
     m = _METER_LOCAL.meter
     start = m.mults

@@ -1,19 +1,35 @@
 """Ground-truth irreducibility testing, independent of the fast criterion.
 
 Two oracles with very different failure modes: the Rabin test (gcd
-conditions on Frobenius powers of x) and plain trial division by every
-monic polynomial of at most half the degree. Both carry explicit work
-budgets; exceeding a budget raises instead of silently degrading.
+conditions on Frobenius powers of x, computed in the residue ring) and
+plain trial division by every monic polynomial of at most half the degree,
+in index order. Over F_p with int64-safe p, trial division takes one
+vectorized Horner remainder pass per candidate degree (in blocks of at most
+``_TRIAL_BLOCK`` int64 entries) and calls no ``ff`` kernel, so it shares no
+code with the ring and gcd that Rabin uses; elsewhere it divides one
+candidate at a time. Both carry explicit work budgets; exceeding a budget
+raises instead of silently degrading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
+import numpy as np
+
 from .errors import EnumerationBoundExceededError, WorkBoundExceededError
-from .ff import Poly, PrimeField, _divmod_raw, _gcd_raw, _powmod_raw, _spreads
+from .ff import (
+    _METER_LOCAL,
+    Poly,
+    PrimeField,
+    _divmod_raw,
+    _gcd_raw,
+    _np_safe,
+    _powmod_raw,
+    _ResidueRing,
+    _spreads,
+)
 from .intops import distinct_prime_factors, divisors, mobius
 
 __all__ = [
@@ -28,6 +44,7 @@ __all__ = [
 
 DEFAULT_WORK_BOUND = 10**7
 DEFAULT_ENUMERATION_BOUND = 10**4
+_TRIAL_BLOCK = 1 << 16  # int64 entries per block of trial-division candidates
 
 
 @dataclass(frozen=True)
@@ -104,7 +121,8 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
     f of degree n over F_q is irreducible iff x^(q^n) = x (mod f) and
     gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
     powers are computed once along an ascending chain, so the total cost is
-    that of a single exponentiation to q^n.
+    that of a single exponentiation to q^n. Over F_p every power runs in
+    one residue ring, built once for f.
     """
     if f.is_zero:
         raise ValueError("rabin_test requires a nonzero polynomial")
@@ -124,11 +142,16 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
                 f"rabin_test on degree {n} over a field of {q.bit_length()}-bit order "
                 f"needs about {estimate} multiplications (bound {work_bound})"
             )
+    if isinstance(K, PrimeField):
+        powmod = _ResidueRing(K.p, fc).pow
+    else:
+        def powmod(a: list, e: int) -> list:
+            return _powmod_raw(K, a, e, fc)
     x_red = _divmod_raw(K, [K.zero, K.one], fc)[1]
     h = x_red
     prev = 0
     for e in checkpoints:
-        h = _powmod_raw(K, h, q ** (e - prev), fc)
+        h = powmod(h, q ** (e - prev))
         prev = e
         diff = _raw_sub(K, h, x_red)
         if not diff:
@@ -137,18 +160,82 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
         g = _gcd_raw(K, fc, diff)
         if len(g) > 1:
             return OracleVerdict(False, "rabin", witness=Poly(K, g))
-    h = _powmod_raw(K, h, q ** (n - prev), fc)
+    h = powmod(h, q ** (n - prev))
     if h != x_red:
         return OracleVerdict(False, "rabin")
     return OracleVerdict(True, "rabin")
 
 
-@lru_cache(maxsize=256)
-def _monic_candidates(K, degree: int) -> tuple[tuple, ...]:
-    out = []
+def _monic_candidates(K, degree: int) -> Iterator[tuple]:
+    # lazily, so a word-size field never lists its p^degree candidates
     for idx in range(K.order**degree):
-        out.append(Poly.monic_from_index(K, degree, idx).coeffs)
-    return tuple(out)
+        yield Poly.monic_from_index(K, degree, idx).coeffs
+
+
+def _candidate_block(p: int, j: int, start: int, count: int) -> np.ndarray:
+    """Low coefficients of the monic degree-j candidates start, ..., start + count - 1.
+
+    Entry [i, k] is coefficient i of candidate start + k: base-p digit i of
+    its index, as in ``Poly.monic_from_index``. The digits of start are
+    taken in Python and k is added with carries, so no int64 ever exceeds
+    count + p, however large p^j is.
+    """
+    out = np.empty((j, count), dtype=np.int64)
+    carry = np.arange(count, dtype=np.int64)
+    for i in range(j):
+        start, digit = divmod(start, p)
+        carry += digit
+        out[i] = carry % p
+        carry //= p
+    return out
+
+
+def _remainders(p: int, fc: list[int], low: np.ndarray) -> np.ndarray:
+    """f mod x^j + low[:, k] for every column k, by one Horner pass.
+
+    Starts from the top j coefficients of f; for each lower coefficient it
+    shifts r by x, subtracts top * C, adds the coefficient and reduces mod
+    p. Only the top row needs reducing before it is used: an entry takes at
+    most j subtractions below p^2 on its way up, so when j(p - 1)^2 + p
+    fits in int64 the rest is reduced once at the end.
+    """
+    j = low.shape[0]
+    lazy = _np_safe(p, 2 * j)
+    r = np.empty_like(low)
+    r[:] = np.asarray(fc[-j:], dtype=np.int64)[:, None]
+    for c in reversed(fc[:-j]):
+        t = (r[-1] % p) * low
+        r[1:] = r[:-1]
+        r[0] = c
+        r -= t
+        if not lazy:
+            r %= p
+    return r % p
+
+
+def _batched_trial_division(p: int, fc: list[int]) -> Optional[list[int]]:
+    """The first monic divisor of f of degree <= n/2 in index order, or None.
+
+    Degree by degree, in blocks of candidates, one remainder pass finds the
+    first zero remainder. Zero-constant candidates are dropped when
+    f(0) != 0, as the sequential loop skips them. Each candidate that loop
+    would have divided, up to and including the witness, is charged what
+    its division counts, (n - j + 1)(j + 1).
+    """
+    n = len(fc) - 1
+    meter = _METER_LOCAL.meter
+    for j in range(1, n // 2 + 1):
+        total, step = p**j, max(1, _TRIAL_BLOCK // j)
+        for start in range(0, total, step):
+            low = _candidate_block(p, j, start, min(step, total - start))
+            if fc[0]:
+                low = low[:, low[0] != 0]
+            hits = np.flatnonzero(~_remainders(p, fc, low).any(axis=0))
+            tried = int(hits[0]) + 1 if hits.size else low.shape[1]
+            meter.mults += tried * (n - j + 1) * (j + 1)
+            if hits.size:
+                return low[:, hits[0]].tolist() + [1]
+    return None
 
 
 def trial_division_test(
@@ -156,8 +243,14 @@ def trial_division_test(
 ) -> OracleVerdict:
     """Divide f by every monic polynomial of degree <= deg(f)/2.
 
-    Deliberately the dumbest possible oracle. Returns the first divisor
-    found as a witness.
+    Deliberately the dumbest possible oracle. Candidates are tried in
+    ascending degree and, within a degree, in ``Poly.monic_from_index``
+    order; zero-constant candidates are skipped when f(0) != 0. Returns the
+    first divisor found as a witness. Over F_p with ``_np_safe(p, 1)`` each
+    degree is one vectorized remainder pass (see ``_batched_trial_division``)
+    that shares no kernel with Rabin's residue ring and gcd; over extension
+    fields and word-size p each candidate is divided in turn. Both routes
+    give the same verdict, witness and metered work.
     """
     n = f.degree
     if n < 1:
@@ -175,6 +268,11 @@ def trial_division_test(
                 f"{estimate} multiplications (bound {work_bound})"
             )
     fc = list(f.coeffs)
+    if isinstance(K, PrimeField) and _np_safe(K.p, 1):
+        witness = _batched_trial_division(K.p, fc)
+        if witness is None:
+            return OracleVerdict(True, "trial-division")
+        return OracleVerdict(False, "trial-division", witness=Poly(K, witness))
     zero = K.zero
     skip_zero_constant = f.coeffs[0] != zero
     for j in range(1, half + 1):

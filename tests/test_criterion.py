@@ -594,6 +594,16 @@ def test_certificate_replay_rejects_inconsistent_huge_step():
         replay_certificate(TowerCertificate.from_json_dict(doc))
 
 
+def test_certificate_replay_composes_only_before_a_further_step():
+    one_step = grow_tower(Poly(F2, [1, 1, 1]), [3])
+    with patch("capelli.criterion.compose_power", side_effect=AssertionError):
+        assert replay_certificate(one_step)
+    two_steps = grow_tower(Poly(F2, [1, 1, 1]), [3, 3])
+    with patch("capelli.criterion.compose_power", wraps=compose_power) as composed:
+        assert replay_certificate(two_steps)
+    assert [c.args[1] for c in composed.call_args_list] == [3]
+
+
 def test_certificate_replay_bit_for_bit():
     """Replay recomputes the identical evidence values, not merely verdicts."""
     cert = grow_tower(Poly(F2, [1, 1, 1]), [3, 3])
