@@ -27,7 +27,6 @@ from .ff import (
     _gcd_raw,
     _np_safe,
     _powmod_raw,
-    _ResidueRing,
     _spreads,
 )
 from .intops import distinct_prime_factors, divisors, mobius
@@ -121,8 +120,7 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
     f of degree n over F_q is irreducible iff x^(q^n) = x (mod f) and
     gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
     powers are computed once along an ascending chain, so the total cost is
-    that of a single exponentiation to q^n. Over F_p every power runs in
-    one residue ring, built once for f.
+    that of a single exponentiation to q^n.
     """
     if f.is_zero:
         raise ValueError("rabin_test requires a nonzero polynomial")
@@ -142,16 +140,11 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
                 f"rabin_test on degree {n} over a field of {q.bit_length()}-bit order "
                 f"needs about {estimate} multiplications (bound {work_bound})"
             )
-    if isinstance(K, PrimeField):
-        powmod = _ResidueRing(K.p, fc).pow
-    else:
-        def powmod(a: list, e: int) -> list:
-            return _powmod_raw(K, a, e, fc)
     x_red = _divmod_raw(K, [K.zero, K.one], fc)[1]
     h = x_red
     prev = 0
     for e in checkpoints:
-        h = powmod(h, q ** (e - prev))
+        h = _powmod_raw(K, h, q ** (e - prev), fc)
         prev = e
         diff = _raw_sub(K, h, x_red)
         if not diff:
@@ -160,7 +153,7 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
         g = _gcd_raw(K, fc, diff)
         if len(g) > 1:
             return OracleVerdict(False, "rabin", witness=Poly(K, g))
-    h = powmod(h, q ** (n - prev))
+    h = _powmod_raw(K, h, q ** (n - prev), fc)
     if h != x_red:
         return OracleVerdict(False, "rabin")
     return OracleVerdict(True, "rabin")
@@ -195,22 +188,18 @@ def _remainders(p: int, fc: list[int], low: np.ndarray) -> np.ndarray:
 
     Starts from the top j coefficients of f; for each lower coefficient it
     shifts r by x, subtracts top * C, adds the coefficient and reduces mod
-    p. Only the top row needs reducing before it is used: an entry takes at
-    most j subtractions below p^2 on its way up, so when j(p - 1)^2 + p
-    fits in int64 the rest is reduced once at the end.
+    p. Entries stay in [0, p), so top * C < p^2 fits in int64.
     """
     j = low.shape[0]
-    lazy = _np_safe(p, 2 * j)
     r = np.empty_like(low)
     r[:] = np.asarray(fc[-j:], dtype=np.int64)[:, None]
     for c in reversed(fc[:-j]):
-        t = (r[-1] % p) * low
+        t = r[-1] * low
         r[1:] = r[:-1]
         r[0] = c
         r -= t
-        if not lazy:
-            r %= p
-    return r % p
+        r %= p
+    return r
 
 
 def _batched_trial_division(p: int, fc: list[int]) -> Optional[list[int]]:
