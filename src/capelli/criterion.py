@@ -300,7 +300,8 @@ def decide_many(field: Union[PrimeField, ExtensionField], d: int, values) -> np.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
-    batch = field.pow_many(values, 1)  # the values as the field's batch array
+    # the values as the field's batch array, packed once: later ladders take its rows as they are
+    batch = field.pow_many(values, 1)
     if _equal_many(batch, field.zero).any():
         raise ValueError("alpha must be nonzero (x^d is trivially reducible for d >= 2)")
     mask = np.ones(len(batch), dtype=bool)
@@ -646,11 +647,28 @@ def replay_certificate(
     Rebuilds each step's field from the previous composition, recomputes
     exponents and power values, and demands bit-for-bit agreement with the
     recorded evidence plus a non-identity result for every test.
+
+    ``work_bound`` (None: unbounded) also bounds the size of the document:
+    a final degree above it is refused before any field is built, each
+    coefficient of the final polynomial counting as one unit of work. An
+    ``OverflowError`` or ``MemoryError`` met during replay is raised as a
+    ``CertificateReplayError``.
     """
+    try:
+        return _replay(cert, verify_base, work_bound)
+    except (OverflowError, MemoryError) as exc:
+        raise CertificateReplayError(f"certificate too large to replay: {exc!r}") from exc
+
+
+def _replay(cert: TowerCertificate, verify_base: bool, work_bound: Optional[int]) -> bool:
     # plain-integer checks first, so no field is built from a bad document
     p = cert.p
     if not 2 <= p < 1 << 64 or not is_prime(p):
         raise CertificateReplayError(f"certificate p = {p} is not a prime of at most 64 bits")
+    if work_bound is not None and cert.final_degree > work_bound:
+        raise CertificateReplayError(
+            f"final degree {cert.final_degree} exceeds the replay bound {work_bound}"
+        )
     base_degree = max((i for i, c in enumerate(cert.base) if c % p), default=-1)
     final_degree = base_degree * math.prod(step.d for step in cert.steps)
     if final_degree != cert.final_degree:

@@ -24,7 +24,9 @@ when the sums cannot overflow, and plain Python lists otherwise. Moduli
 with few nonzero terms reduce by folding, which is what makes high-degree
 sparse towers fast. A batch of residues, an (N, n) int64 array, is raised
 to a power by one square-and-multiply ladder over the whole batch, folded
-by the same rows (``pow_many``).
+by the same rows (``pow_many``). A batch of F_p values is raised by an
+int64 ladder when products fit, and otherwise (p above about 1.5 * 10^9)
+by a Montgomery ladder on uint64 arrays, exact for every odd p < 2^64.
 
 The ring has one powering ladder. It reads the exponent in a radix r and
 spends, per digit, one step a -> a^r and one product by a^digit if the
@@ -126,6 +128,50 @@ def count_mults():
 def _np_safe(p: int, width: int) -> bool:
     # int64 accumulation headroom for convolutions and fold sums
     return (p - 1) * (p - 1) * (width + 1) < (1 << 62)
+
+
+_U32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhi(x, y):
+    """High 64 bits of the 128-bit products x*y of uint64 arrays or scalars."""
+    x0, x1 = x & _LOW32, x >> _U32
+    y0, y1 = y & _LOW32, y >> _U32
+    low = x0 * y0
+    mid = x1 * y0 + (low >> _U32)
+    mid2 = x0 * y1 + (mid & _LOW32)
+    return x1 * y1 + (mid >> _U32) + (mid2 >> _U32)
+
+
+def _montgomery_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a_i^e mod p for a uint64 array of values in [0, p), p odd below 2^64,
+    e >= 1: one square-and-multiply ladder in Montgomery form, R = 2^64.
+
+    A value v is held as vR mod p. The product of two held values is
+    REDC(x*y) = x*y/R mod p (Montgomery, Math. Comp. 44, 1985), from the
+    128-bit (hi, lo) of x*y and m = lo*N' mod R with N' = -p^-1 mod R.
+    """
+    P = np.uint64(p)
+    n_prime = np.uint64(-pow(p, -1, 1 << 64) % (1 << 64))
+
+    def mul(x, y):
+        lo = x * y  # wraps mod R
+        m = lo * n_prime
+        # lo + low(m*p) = 0 mod R carries into the high half exactly when lo != 0;
+        # hi < p - 1, so adding the carry cannot wrap
+        hi = _mulhi(x, y) + (lo != 0)
+        # the true sum is below 2p, so for p >= 2^63 it may wrap past 2^64
+        t = hi + _mulhi(m, P)
+        return np.where((t < hi) | (t >= P), t - P, t)
+
+    base = mul(a, np.uint64((1 << 128) % p))
+    r = base
+    for bit in bin(e)[3:]:
+        r = mul(r, r)
+        if bit == "1":
+            r = mul(r, base)
+    return mul(r, np.uint64(1))
 
 
 def _strip(coeffs: list, zero) -> list:
@@ -610,16 +656,25 @@ class PrimeField:
         """a_i^e for each raw value of a, by one square-and-multiply ladder.
 
         The ladder runs on an int64 array when products fit
-        (``_np_safe(p, 1)``), else native pow runs per value and the
-        result is an object array of ints. Each step counts len(a)
-        products, as a power in a residue ring of degree 1 does.
+        (``_np_safe(p, 1)``). For larger p it runs in Montgomery form on a
+        uint64 array (``_montgomery_pow``), after reducing each value mod
+        p; a uint64 array, such as an earlier result, is reduced without
+        leaving numpy. Each step counts len(a) products, as a power in a
+        residue ring of degree 1 does; the conversions into and out of
+        Montgomery form are not steps and count nothing.
         """
         if e < 0:
             raise ValueError("exponent must be non-negative")
         p = self.p
         _METER_LOCAL.meter.mults += len(a) * max(0, e.bit_length() + e.bit_count() - 2)
         if not _np_safe(p, 1):
-            return np.array([pow(int(v), e, p) for v in a], dtype=object)
+            if isinstance(a, np.ndarray) and a.dtype == np.uint64:
+                reduced = a % np.uint64(p)
+            else:
+                reduced = np.fromiter((int(v) % p for v in a), dtype=np.uint64, count=len(a))
+            if e == 0:
+                return np.ones_like(reduced)
+            return _montgomery_pow(reduced, e, p)
         base = np.asarray(a, dtype=np.int64)
         if e == 0:
             return np.ones_like(base)

@@ -87,6 +87,17 @@ def test_json_report_golden(capsys):
     assert out == golden
 
 
+def test_prob_sample_report_golden_at_word_size_p(capsys):
+    """Monte Carlo over F_p, p = 2^61 - 1: the Montgomery ladder decides every alpha."""
+    code, out, _ = run_cli(
+        capsys, "prob", "-p", str(2**61 - 1), "-k", "1", "-d", "6",
+        "--sample", "3000", "--seed", "1", "--json",
+    )
+    assert code == 0
+    assert out == (DATA / "golden_prob_sample_wordp.json").read_text()
+    assert json.loads(out)["sample"]["successes"] == "1023"
+
+
 def test_json_report_fields(capsys):
     _, out, _ = run_cli(
         capsys, "test", "-p", "7", "--poly", "x^2+x+3", "-d", "4", "--oracle", "--json"

@@ -3,6 +3,8 @@
 import json
 import random
 import sys
+import time
+import tracemalloc
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -162,13 +164,15 @@ def _per_alpha_mask(F, d, values):
     return [decide_xd_minus_alpha(Element(F, v), d).irreducible for v in values]
 
 
-# p = 2 and odd p with k from 1 to 9; word-size p runs native pow per value,
-# and so do (2^61 - 1, 2) and (2, 33), whose rings do not batch
+# p = 2 and odd p with k from 1 to 9; F_p beyond int64 headroom (from 1,518,500,279
+# on) runs the Montgomery ladder, (2^61 - 1, 2) and (2, 33), whose rings do not
+# batch, run ExtensionField.pow per value
 BATCH_FIELDS = (
     [(2, k) for k in range(1, 10)]
     + [(3, k) for k in range(1, 7)]
     + [(5, 1), (5, 2), (5, 4), (7, 1), (7, 3), (13, 2), (65521, 1), (65521, 2)]
-    + [(2**31 - 1, 1), (2**61 - 1, 1), (2**64 - 59, 1), (2**61 - 1, 2), (2, 33)]
+    + [(2**31 - 1, 1), (1518500279, 1), (2**61 - 1, 1), (2**63 + 29, 1), (2**64 - 59, 1)]
+    + [(2**61 - 1, 2), (2, 33)]
 )
 
 
@@ -592,6 +596,46 @@ def test_certificate_replay_rejects_inconsistent_huge_step():
     doc["steps"][0]["d"] = str(3**40)
     with pytest.raises(CertificateReplayError):
         replay_certificate(TowerCertificate.from_json_dict(doc))
+
+
+def _one_step_document(d):
+    """A consistent F_2 certificate: base x^2+x+1, one step d = 3^j (alpha has order 3)."""
+    doc = grow_tower(Poly(F2, [1, 1, 1]), [3]).to_json_dict()
+    doc["steps"][0]["d"] = str(d)
+    doc["final_degree"] = str(2 * d)
+    return TowerCertificate.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("d", [3**19, 3**40])
+def test_certificate_replay_refuses_a_final_degree_beyond_the_bound(d):
+    cert = _one_step_document(d)
+    tracemalloc.start()
+    start = time.perf_counter()
+    with patch("capelli.criterion.PrimeField", side_effect=AssertionError), \
+            pytest.raises(CertificateReplayError, match="replay bound"):
+        replay_certificate(cert)
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 1 << 20
+    # the document is consistent: without a bound, one test in F_4 replays it
+    assert replay_certificate(cert, work_bound=None)
+    assert replay_certificate(_one_step_document(3**12))
+
+
+def test_certificate_replay_maps_size_errors():
+    # with no bound, composing 2*3^40 coefficients overflows an index
+    doc = grow_tower(Poly(F2, [1, 1, 1]), [3, 3]).to_json_dict()
+    doc["steps"][0]["d"] = str(3**40)
+    doc["final_degree"] = str(2 * 3**41)
+    cert = TowerCertificate.from_json_dict(doc)
+    with pytest.raises(CertificateReplayError, match="too large"):
+        replay_certificate(cert, work_bound=None)
+    two_steps = grow_tower(Poly(F2, [1, 1, 1]), [3, 3])
+    with patch("capelli.criterion.compose_power", side_effect=MemoryError), \
+            pytest.raises(CertificateReplayError, match="too large"):
+        replay_certificate(two_steps)
 
 
 def test_certificate_replay_composes_only_before_a_further_step():

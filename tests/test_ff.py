@@ -23,7 +23,8 @@ from capelli import (
     rabin_test,
 )
 
-from capelli.ff import _ResidueRing, _gen_divmod, _gen_mul, _strip
+from capelli.ff import _ResidueRing, _gen_divmod, _gen_mul, _np_safe, _strip
+from capelli.intops import is_prime
 
 from conftest import field_of_order, prime_powers_up_to
 
@@ -430,7 +431,7 @@ def test_ring_batches_only_on_rows_with_int64_headroom():
 
 @pytest.mark.parametrize("p", [65521, 2**61 - 1, 2**64 - 59])
 def test_prime_field_pow_many_matches_pow_and_counts(p):
-    """int64 ladder or native pow per value, each step counting N products."""
+    """int64 or Montgomery ladder, each step counting N products."""
     rng = random.Random(p)
     K = PrimeField(p)
     values = [rng.randrange(p) for _ in range(20)]
@@ -439,6 +440,41 @@ def test_prime_field_pow_many_matches_pow_and_counts(p):
             got = K.pow_many(values, e)
         assert [int(v) for v in got] == [pow(v, e, p) for v in values]
         assert work() == len(values) * max(0, e.bit_length() + e.bit_count() - 2)
+
+
+# 1,518,500,213 is the last prime with int64 headroom, 1,518,500,279 the first without
+MONTGOMERY_PRIMES = st.one_of(
+    st.sampled_from([1518500279, 2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 - 59]),
+    # primes in (2^63, 2^64), where the REDC sum can wrap past 2^64
+    st.integers(2**63, 2**64 - 60).map(lambda n: next(q for q in range(n, 2**64) if is_prime(q))),
+)
+
+
+def test_montgomery_route_starts_at_the_int64_boundary():
+    assert _np_safe(1518500213, 1) and not _np_safe(1518500279, 1)
+    assert PrimeField(1518500213).pow_many([2], 3).dtype == np.int64
+    assert PrimeField(1518500279).pow_many([2], 3).dtype == np.uint64
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_montgomery_pow_many_matches_native_pow(data):
+    """The Montgomery ladder against native pow, with the work of the int64 route."""
+    p = data.draw(MONTGOMERY_PRIMES, label="p")
+    K = PrimeField(p)
+    extremes = [0, 1, p - 1, p, 2 * p + 3, -1, -p - 5, 2**80 + 7]
+    values = extremes + data.draw(
+        st.lists(st.integers(-(2**70), 2**70), max_size=20), label="values")
+    exponents = [0, 1, 2, p - 1, (p - 1) // 2, data.draw(st.integers(0, 2**90), label="e")]
+    for e in exponents:
+        with count_mults() as work:
+            got = K.pow_many(values, e)
+        assert np.issubdtype(got.dtype, np.integer)
+        assert [int(v) for v in got] == [pow(v, e, p) for v in values], e
+        assert work() == len(values) * max(0, e.bit_length() + e.bit_count() - 2)
+    # an earlier result goes back in as it is
+    again = K.pow_many(K.pow_many(values, 1), exponents[-1])
+    assert [int(v) for v in again] == [pow(v, exponents[-1], p) for v in values]
 
 
 def test_from_indices_matches_from_index():
