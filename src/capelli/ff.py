@@ -18,23 +18,25 @@ All arithmetic modulo a monic f over F_p goes through one residue ring,
 ``_ResidueRing(p, f)``: extension-field products and powers, and the
 modular powers of ``poly_powmod`` and the Rabin oracle. Inside it values
 are trimmed int lists, converted to padded tuples only at the
-``ExtensionField`` boundary. Its backend follows from p and deg f:
-precomputed fold rows for small degrees, int64 numpy kernels above that
-when the sums cannot overflow, and plain Python lists otherwise. Moduli
-with few nonzero terms reduce by folding, which is what makes high-degree
-sparse towers fast. A batch of residues, an (N, n) int64 array, is raised
-to a power by one square-and-multiply ladder over the whole batch, folded
-by the same rows (``pow_many``). A batch of F_p values is raised by an
-int64 ladder when products fit, and otherwise (p above about 1.5 * 10^9)
-by a Montgomery ladder on uint64 arrays, exact for every odd p < 2^64.
+``ExtensionField`` boundary. Its backend follows from p and deg f: plain
+int lists up to degree ``_LISTS_MAX_DEG``, int64 numpy kernels above it
+when the sums cannot overflow, and lists otherwise. Both reduce by
+folding with the t nonzero terms of x^n - f, so a ring costs O(n) to
+build and sparse moduli such as b(x^d) reduce in O(t) per coefficient.
+A batch of residues, an (N, n) int64 array, is raised to a power by one
+square-and-multiply ladder over the whole batch, folded by the same terms
+(``pow_many``). A batch of F_p values is raised by an int64 ladder when
+products fit, and otherwise (p above about 1.5 * 10^9) by a Montgomery
+ladder on uint64 arrays, in blocks, exact for every odd p < 2^64.
 
 The ring has one powering ladder. It reads the exponent in a radix r and
 spends, per digit, one step a -> a^r and one product by a^digit if the
 digit is nonzero. Over F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius
 step) is a spread of the coefficients to stride p and a fold by f, with no
-products. When one spread counts no more than one squaring in the work
-model, r = p and the step is a spread; otherwise (word-size p) r = 2 and
-the step is a squaring. For p = 2 the two differ only in that step.
+products. When one spread counts no more in the work model than the
+products the binary ladder spends on one p-th power, and stays below
+n^2 + 2n coefficients, r = p and the step is a spread; otherwise
+(word-size p) r = 2 and the step is a squaring (``_spreads``).
 
 A per-thread work meter tallies coefficient multiplications by a fixed
 model of the operand sizes (see ``count_mults``), never by what a backend
@@ -67,7 +69,10 @@ __all__ = [
 ]
 
 _NP_MUL_MIN_WORK = 256  # len(a)*len(b) below this: pure python wins
-_ROWS_MAX_DEG = 32  # residue rings up to this degree reduce by precomputed rows
+# lists/numpy crossover, from timed Frobenius chains at p in {2, 3, 7, 13}: lists
+# won for sparse f up to n = 128, numpy for dense f from n = 64 to 128 on
+_LISTS_MAX_DEG = 64
+_MONTGOMERY_BLOCK = 4096  # values per Montgomery ladder; larger blocks outgrow the cache
 
 
 class WorkMeter:
@@ -99,18 +104,19 @@ def count_mults():
     multiplication per coefficient pair, and one per quotient coefficient
     and low term to reduce. A Frobenius step a -> a^p spreads la
     coefficients over L = (la - 1)*p + 1 and counts only its fold,
-    max(0, L - n)*t, with no products. The count is the same on every
-    backend. A batched product of N values (``pow_many``) counts N products
+    max(0, L - n)*t, with no products; ``_spreads`` decides which rings
+    take such steps. The count is the same on both backends, lists and
+    numpy. A batched product of N values (``pow_many``) counts N products
     of full-length rows, N*(n^2 + (n - 1)*t), whatever the values' actual
-    lengths; over F_p it counts N. Outside the ring, a polynomial product
-    counts la*lb, a division by a divisor of lb coefficients counts lb per
-    quotient coefficient, and a power in F_p counts 3/2 per exponent bit.
-    Trial division of f of degree n counts, for each candidate divisor it
-    tries up to and including the witness, that division: (n - j + 1)(j + 1)
-    for a monic candidate of degree j over F_p, on the batched route as on
-    the per-candidate one. Inside the block the reading is live; once the
-    block exits it freezes, so work done afterwards never leaks into the
-    figure.
+    lengths; over F_p it counts N, however the values are blocked. Outside
+    the ring, a polynomial product counts la*lb, a division by a divisor of
+    lb coefficients counts lb per quotient coefficient, and a power in F_p
+    counts 3/2 per exponent bit. Trial division of f of degree n counts,
+    for each candidate divisor it tries up to and including the witness,
+    that division: (n - j + 1)(j + 1) for a monic candidate of degree j
+    over F_p, on the batched route as on the per-candidate one. Inside the
+    block the reading is live; once the block exits it freezes, so work
+    done afterwards never leaks into the figure.
     """
     m = _METER_LOCAL.meter
     start = m.mults
@@ -242,13 +248,17 @@ def _spreads(p: int, n: int, t: int) -> bool:
     """Whether the ring's ladder runs on base-p digits.
 
     It does when one Frobenius spread of a full residue counts no more than
-    one squaring, n^2 + (n - 1)t; t is the number of nonzero low terms of
-    f. The spread is charged (p - 1)(n - 1) max(t, 1): its fold, and for
-    t = 0 (f = x^n, where nothing folds) the length it writes. This keeps
-    word-size p on the binary ladder for every f and bounds a spread to
-    fewer than n^2/max(t, 1) + 2n coefficients.
+    the binary ladder's bits(p) + popcount(p) - 2 products for one p-th
+    power, n^2 + (n - 1)t each; t is the number of nonzero low terms of f.
+    The spread is charged (p - 1)(n - 1) max(t, 1): its fold, and for t = 0
+    (f = x^n, where nothing folds) the length it writes. Its (n - 1)p + 1
+    coefficients must also stay below n^2 + 2n. So word-size p keeps the
+    binary ladder for every f, and a spread that counts no more than one
+    squaring is always taken. For p = 2 this is that comparison alone.
     """
-    return (p - 1) * (n - 1) * max(t, 1) <= n * n + (n - 1) * t
+    spread = (p - 1) * (n - 1)
+    squarings = p.bit_length() + p.bit_count() - 2
+    return spread < n * n + n and spread * max(t, 1) <= squarings * (n * n + (n - 1) * t)
 
 
 def _base_digits(e: int, p: int) -> list[int]:
@@ -283,18 +293,19 @@ class _ResidueRing:
     """Arithmetic in F_p[x]/(f) for one monic f of degree n >= 1.
 
     Values are trimmed little-endian int lists with entries in [0, p). The
-    backend follows from (p, n) alone: fold rows for n <= _ROWS_MAX_DEG,
-    int64 numpy above that when the sums cannot overflow, plain lists
-    otherwise. Reduction rewrites x^n as low(x) = x^n - f one quotient
-    coefficient at a time; numpy instead folds the whole high part at once
-    when low has few terms. Every backend meters the same work (see
+    backend follows from (p, n) alone: int64 numpy for n > _LISTS_MAX_DEG
+    when the sums cannot overflow, plain int lists otherwise. Both reduce
+    by rewriting x^n as low(x) = x^n - f, whose t nonzero terms are
+    ``terms``: lists fold one quotient coefficient at a time from the top,
+    t adds each; numpy folds the whole high part at once when low has few
+    terms. Building a ring is O(n). Every backend meters the same work (see
     ``count_mults``). The ladder in ``pow`` follows from (p, n, t) by
     ``_spreads``.
     """
 
     __slots__ = (
         "p", "n", "terms", "backend", "spreads",
-        "_rows", "_sparse", "_maxnz", "_low_np", "_mulmod", "_frob",
+        "_sparse", "_maxnz", "_low_np", "_mulmod", "_frob",
     )
 
     def __init__(self, p: int, f: Sequence[int]):
@@ -308,20 +319,8 @@ class _ResidueRing:
         low = [(-c) % p for c in f[:n]]
         self.terms = tuple((j, c) for j, c in enumerate(low) if c)
         self.spreads = _spreads(p, n, len(self.terms))
-        self._rows = None
         self._mulmod, self._frob = self._mul_lists, self._frob_lists
-        if n <= _ROWS_MAX_DEG:
-            self.backend = "rows"
-            # rows[t] holds the nonzero terms of x^(n+t) mod f
-            rows, row = [], low
-            for _ in range(n - 1):
-                rows.append(tuple((j, c) for j, c in enumerate(row) if c))
-                top = row[-1]
-                row = [0] + row[:-1]
-                if top:
-                    row = [(v + top * c) % p for v, c in zip(row, low)]
-            self._rows = tuple(rows)
-        elif _np_safe(p, n + 1):
+        if n > _LISTS_MAX_DEG and _np_safe(p, n + 1):
             self.backend = "numpy"
             self._maxnz = max((j for j, _ in self.terms), default=-1)
             folds = 1 + (n - 2) // (n - self._maxnz)
@@ -387,17 +386,17 @@ class _ResidueRing:
 
     @property
     def batches(self) -> bool:
-        """Whether ``pow_many`` applies: the ring folds by rows and the
-        int64 sums of a batched product (at most 2n - 1 terms below p^2 per
-        coefficient) cannot overflow."""
-        return self._rows is not None and _np_safe(self.p, 2 * self.n)
+        """Whether ``pow_many`` applies: n <= _LISTS_MAX_DEG and the int64
+        sums of a batched product cannot overflow. Each coefficient sums at
+        most n convolution terms and t <= n fold adds, all below p^2."""
+        return self.n <= _LISTS_MAX_DEG and _np_safe(self.p, 2 * self.n)
 
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-wise a*b mod f for (N, n) int64 arrays of reduced values.
 
-        A batched schoolbook product, folded from the top by the rows
-        x^(n+t) mod f; requires ``batches``. Counts N products of
-        full-length rows (see ``count_mults``).
+        A batched schoolbook product, folded from the top by ``terms``;
+        requires ``batches``. Counts N products of full-length rows (see
+        ``count_mults``).
         """
         count, n, p = a.shape[0], self.n, self.p
         _METER_LOCAL.meter.mults += count * (n * n + (n - 1) * len(self.terms))
@@ -406,8 +405,8 @@ class _ResidueRing:
             prod[:, i : i + n] += a[:, i : i + 1] * b
         for k in range(2 * n - 2, n - 1, -1):
             c = prod[:, k] % p
-            for j, t in self._rows[k - n]:
-                prod[:, j] += c * t
+            for j, t in self.terms:
+                prod[:, k - n + j] += c * t
         return prod[:, :n] % p
 
     def pow_many(self, a: np.ndarray, e: int) -> np.ndarray:
@@ -450,21 +449,12 @@ class _ResidueRing:
 
     def _reduce_lists(self, a: list[int]) -> list[int]:
         # a: nonnegative ints, not yet reduced mod p; consumed
-        p, n = self.p, self.n
-        if self._rows is not None and len(a) < 2 * n:
-            rows = self._rows
-            for k in range(len(a) - 1, n - 1, -1):
-                c = a[k] % p
-                if c:
-                    for j, t in rows[k - n]:
-                        a[j] += c * t
-        else:
-            terms = self.terms
-            for k in range(len(a) - 1, n - 1, -1):
-                c = a[k] % p
-                if c:
-                    for j, t in terms:
-                        a[k - n + j] += c * t
+        p, n, terms = self.p, self.n, self.terms
+        for k in range(len(a) - 1, n - 1, -1):
+            c = a[k] % p
+            if c:
+                for j, t in terms:
+                    a[k - n + j] += c * t
         out = [v % p for v in a[:n]]
         while out and not out[-1]:
             out.pop()
@@ -658,8 +648,9 @@ class PrimeField:
         The ladder runs on an int64 array when products fit
         (``_np_safe(p, 1)``). For larger p it runs in Montgomery form on a
         uint64 array (``_montgomery_pow``), after reducing each value mod
-        p; a uint64 array, such as an earlier result, is reduced without
-        leaving numpy. Each step counts len(a) products, as a power in a
+        p, one block of at most ``_MONTGOMERY_BLOCK`` values at a time; a
+        uint64 array, such as an earlier result, is reduced without leaving
+        numpy. Each step counts len(a) products, as a power in a
         residue ring of degree 1 does; the conversions into and out of
         Montgomery form are not steps and count nothing.
         """
@@ -674,7 +665,11 @@ class PrimeField:
                 reduced = np.fromiter((int(v) % p for v in a), dtype=np.uint64, count=len(a))
             if e == 0:
                 return np.ones_like(reduced)
-            return _montgomery_pow(reduced, e, p)
+            out = np.empty_like(reduced)
+            for i in range(0, len(out), _MONTGOMERY_BLOCK):
+                out[i : i + _MONTGOMERY_BLOCK] = _montgomery_pow(
+                    reduced[i : i + _MONTGOMERY_BLOCK], e, p)
+            return out
         base = np.asarray(a, dtype=np.int64)
         if e == 0:
             return np.ones_like(base)

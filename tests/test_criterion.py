@@ -41,7 +41,7 @@ from capelli import (
     star_condition,
 )
 
-from capelli.ff import _ResidueRing
+from capelli.ff import _LISTS_MAX_DEG, _ResidueRing
 from capelli.intops import primes_up_to
 
 from conftest import field_of_order, prime_powers_up_to
@@ -165,14 +165,14 @@ def _per_alpha_mask(F, d, values):
 
 
 # p = 2 and odd p with k from 1 to 9; F_p beyond int64 headroom (from 1,518,500,279
-# on) runs the Montgomery ladder, (2^61 - 1, 2) and (2, 33), whose rings do not
-# batch, run ExtensionField.pow per value
+# on) runs the Montgomery ladder, (2^61 - 1, 2) and (2, _LISTS_MAX_DEG + 1), whose
+# rings do not batch, run ExtensionField.pow per value
 BATCH_FIELDS = (
     [(2, k) for k in range(1, 10)]
     + [(3, k) for k in range(1, 7)]
     + [(5, 1), (5, 2), (5, 4), (7, 1), (7, 3), (13, 2), (65521, 1), (65521, 2)]
     + [(2**31 - 1, 1), (1518500279, 1), (2**61 - 1, 1), (2**63 + 29, 1), (2**64 - 59, 1)]
-    + [(2**61 - 1, 2), (2, 33)]
+    + [(2**61 - 1, 2), (2, _LISTS_MAX_DEG + 1)]
 )
 
 

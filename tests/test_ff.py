@@ -23,8 +23,18 @@ from capelli import (
     rabin_test,
 )
 
-from capelli.ff import _ResidueRing, _gen_divmod, _gen_mul, _np_safe, _strip
-from capelli.intops import is_prime
+from capelli.ff import (
+    _LISTS_MAX_DEG,
+    _MONTGOMERY_BLOCK,
+    _ResidueRing,
+    _gen_divmod,
+    _gen_mul,
+    _np_safe,
+    _spreads,
+    _strip,
+)
+from capelli.intops import distinct_prime_factors, is_prime
+from capelli.oracle import _rabin_work, trial_division_test
 
 from conftest import field_of_order, prime_powers_up_to
 
@@ -299,7 +309,8 @@ def test_work_meter_counts_something():
 
 
 def test_large_degree_numpy_path_consistency():
-    """The numpy kernels and the pure-python kernels agree."""
+    """The numpy kernels and the pure-python kernels agree; the moduli have
+    degree 70, above the residue ring's lists/numpy crossover."""
     rng = random.Random(42)
     p = 13
     K = PrimeField(p)
@@ -314,8 +325,8 @@ def test_large_degree_numpy_path_consistency():
         ref.pop()
     assert list((a * b).coeffs) == ref
 
-    mod_sparse = Poly(K, [5] + [0] * 39 + [7] + [0] * 19 + [1])  # sparse, degree 60
-    mod_dense = Poly(K, [rng.randrange(p) for _ in range(60)] + [1])
+    mod_sparse = Poly(K, [5] + [0] * 39 + [7] + [0] * 29 + [1])  # sparse, degree 70
+    mod_dense = Poly(K, [rng.randrange(p) for _ in range(70)] + [1])
     for mod in (mod_sparse, mod_dense):
         got = poly_powmod(a, 3, mod)
         expect = ((a * a) % mod * a) % mod
@@ -324,9 +335,10 @@ def test_large_degree_numpy_path_consistency():
 
 # --- the residue ring against schoolbook ---------------------------------------
 
-# p on both sides of the int64 headroom check, n on both sides of the rows cutoff
+# p on both sides of the int64 headroom check; n = 32 and 33 run on lists, and
+# the first n above the lists/numpy crossover on numpy where int64 sums fit
 RING_PRIMES = [2, 65521, 2**31 - 1, 2**61 - 1]
-RING_DEGREES = [32, 33]
+RING_DEGREES = [32, 33, _LISTS_MAX_DEG + 1]
 
 
 @st.composite
@@ -383,7 +395,12 @@ def test_ring_pow_matches_schoolbook(p, n, data):
 
 
 @pytest.mark.parametrize(
-    "p, n, backend", [(2, 32, "rows"), (65521, 33, "numpy"), (2**61 - 1, 33, "lists")]
+    "p, n, backend",
+    [
+        (2, _LISTS_MAX_DEG, "lists"),
+        (65521, _LISTS_MAX_DEG + 1, "numpy"),
+        (2**61 - 1, _LISTS_MAX_DEG + 1, "lists"),
+    ],
 )
 def test_ring_product_count_matches_model(p, n, backend):
     """A product counts la*lb + max(0, la + lb - 1 - n)*t on every backend."""
@@ -424,9 +441,11 @@ def test_ring_pow_many_matches_pow_and_counts_full_rows(p, n, data):
 
 
 def test_ring_batches_only_on_rows_with_int64_headroom():
-    assert _ResidueRing(65521, [1] + [0] * 31 + [1]).batches
-    assert not _ResidueRing(2**31 - 1, [1] + [0] * 31 + [1]).batches
-    assert not _ResidueRing(2, [1] + [0] * 32 + [1]).batches
+    """Rings batch up to the lists/numpy crossover, when int64 sums fit."""
+    n = _LISTS_MAX_DEG
+    assert _ResidueRing(65521, [1] + [0] * (n - 1) + [1]).batches
+    assert not _ResidueRing(2**31 - 1, [1] + [0] * (n - 1) + [1]).batches
+    assert not _ResidueRing(2, [1] + [0] * n + [1]).batches
 
 
 @pytest.mark.parametrize("p", [65521, 2**61 - 1, 2**64 - 59])
@@ -477,6 +496,21 @@ def test_montgomery_pow_many_matches_native_pow(data):
     assert [int(v) for v in again] == [pow(v, exponents[-1], p) for v in values]
 
 
+def test_montgomery_pow_many_runs_in_blocks():
+    """An array longer than one block: every block's values, dtype and work
+    equal those of native pow and of one ladder."""
+    p = 2**61 - 1
+    rng = random.Random(7)
+    values = [rng.randrange(p) for _ in range(2 * _MONTGOMERY_BLOCK + 5)]
+    K = PrimeField(p)
+    e = (p - 1) // 2 + rng.randrange(2**20)
+    with count_mults() as work:
+        got = K.pow_many(values, e)
+    assert got.dtype == np.uint64 and got.shape == (len(values),)
+    assert [int(v) for v in got] == [pow(v, e, p) for v in values]
+    assert work() == len(values) * (e.bit_length() + e.bit_count() - 2)
+
+
 def test_from_indices_matches_from_index():
     F = field_of_order(125)
     got = F.from_indices(np.arange(125, dtype=np.int64))
@@ -488,10 +522,10 @@ def test_from_indices_matches_from_index():
 
 # --- the Frobenius ladder ------------------------------------------------------
 
-# p small enough that the ladder runs on base-p digits, with one n per backend:
-# rows, numpy, and numpy's n with int64 sums declared unsafe (plain lists)
+# small p, with one n per backend: lists below the crossover, numpy above it,
+# and numpy's n with int64 sums declared unsafe (lists again)
 FROB_PRIMES = [2, 3, 5, 7, 13]
-FROB_BACKENDS = [("rows", 12), ("numpy", 33), ("lists", 33)]
+FROB_BACKENDS = [("lists", 12), ("numpy", _LISTS_MAX_DEG + 1), ("lists", _LISTS_MAX_DEG + 1)]
 
 
 def _ring_on(backend, p, f):
@@ -556,7 +590,9 @@ def test_frobenius_ladder_matches_schoolbook(p, backend, n, data):
 @pytest.mark.parametrize("p", FROB_PRIMES)
 def test_frobenius_powers_of_x_take_no_products(p):
     """x^(p^k) is k Frobenius steps; no power a^j is built for digit 0."""
-    for n, f in [(12, [1] + [0] * 11 + [1]), (33, [1] + [0] * 15 + [p - 1] + [0] * 16 + [1])]:
+    big = _LISTS_MAX_DEG + 1  # on numpy: x^big - x^(big // 2) + 1
+    middle = [1] + [0] * (big // 2 - 1) + [p - 1] + [0] * (big - big // 2 - 1) + [1]
+    for n, f in [(12, [1] + [0] * 11 + [1]), (big, middle)]:
         ring = _ResidueRing(p, f)
         assert ring.spreads
         products = []
@@ -573,7 +609,7 @@ def test_word_size_p_keeps_the_binary_ladder(p):
     with patch.object(_ResidueRing, "_frob_lists", side_effect=AssertionError), patch.object(
         _ResidueRing, "_frob_np", side_effect=AssertionError
     ):
-        for n in (2, 32, 33):
+        for n in (2, 32, _LISTS_MAX_DEG + 1):
             trinomial = [1] + [0] * (n - 1) + [1]
             trinomial[n // 2] = 1
             # x^n has nothing to fold, but its spread would still be (n - 1)p + 1 long
@@ -591,3 +627,96 @@ def test_rabin_work_pinned_on_the_degree_1458_tower_member():
     with count_mults() as work:
         assert rabin_test(f, work_bound=None).irreducible
     assert work() == 1_960_037
+
+
+# --- the spread rule -----------------------------------------------------------
+
+SPREAD_PRIMES = [3, 5, 7, 13, 65521, 2**31 - 1, 2**61 - 1]
+WORD_PRIMES = [65521, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def _spread_case(draw, primes, max_n):
+    """p, and a monic f of degree n <= max_n: x^n plus at most three low
+    terms, or dense."""
+    p = draw(st.sampled_from(primes), label="p")
+    n = draw(st.integers(2, max_n), label="n")
+    if draw(st.booleans()):
+        f = [0] * n + [1]
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            f[j] = draw(st.integers(1, p - 1))
+    else:
+        f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    return p, f
+
+
+@given(case=_spread_case(SPREAD_PRIMES, 80))
+@settings(max_examples=200, deadline=None)
+def test_spread_rule_bounds_the_spread_and_spares_word_size_p(case):
+    p, f = case
+    n = len(f) - 1
+    t = sum(1 for c in f[:n] if c)
+    ring = _ResidueRing(p, f)
+    assert ring.spreads == _spreads(p, n, t)
+    if ring.spreads:
+        assert (n - 1) * p + 1 < n * n + 2 * n
+    if p in WORD_PRIMES:
+        assert not ring.spreads
+    # a spread that counts no more than a single squaring is always taken
+    if (p - 1) * (n - 1) * max(t, 1) <= n * n + (n - 1) * t:
+        assert ring.spreads
+
+
+def test_trinomial_at_p13_n12_spreads_though_a_spread_costs_more_than_a_squaring():
+    """The spread is weighed against the whole binary p-th power, five
+    products at p = 13, so this ring spreads; both ladders give schoolbook's
+    powers."""
+    p, n, t = 13, 12, 2
+    f = [1] + [0] * 4 + [3] + [0] * 6 + [1]
+    assert (p - 1) * (n - 1) * t > n * n + (n - 1) * t
+    ring = _ResidueRing(p, f)
+    assert ring.spreads
+    K = PrimeField(p)
+    for a in ([0, 1], [5, 0, 7, 1, 0, 0, 0, 0, 0, 0, 2, 9]):
+        for e in (p, p**3, p**12 - 1, (p**12 - 1) // 3 + 11):
+            expect = _schoolbook_pow(K, f, a, e)
+            assert ring.pow(a, e) == expect
+            ring.spreads = False
+            assert ring.pow(a, e) == expect
+            ring.spreads = True
+
+
+@given(case=_spread_case(SPREAD_PRIMES[:4], 80), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_both_ladders_match_schoolbook_on_small_p(case, data):
+    """Whichever ladder the rule picks, and the other one, on every small p."""
+    p, f = case
+    n = len(f) - 1
+    a = _strip(data.draw(st.lists(st.integers(0, p - 1), max_size=n), label="a"), 0)
+    e = data.draw(st.one_of(st.integers(0, 3).map(lambda k: p**k), st.integers(0, p**3)),
+                  label="e")
+    expect = _schoolbook_pow(PrimeField(p), f, a, e)
+    ring = _ResidueRing(p, f)
+    for spreads in (ring.spreads, not ring.spreads):
+        ring.spreads = spreads
+        assert ring.pow(a, e) == expect
+
+
+@given(case=_spread_case(SPREAD_PRIMES, 80))
+@settings(max_examples=60, deadline=None)
+def test_rabin_estimate_covers_its_ladder_and_rabin_agrees_with_trial_division(case):
+    """``_rabin_work`` charges at least what ``rabin_test`` meters, on
+    whichever ladder the rule picks; where trial division is cheap, both
+    oracles agree."""
+    p, f = case
+    n = len(f) - 1
+    # word-size p powers on the binary ladder in pure Python: keep n small
+    f = f if p not in WORD_PRIMES or n <= 6 else f[:6] + [1]
+    n = len(f) - 1
+    K = PrimeField(p)
+    checkpoints = sorted({n // r for r in distinct_prime_factors(n)})
+    with count_mults() as work:
+        verdict = rabin_test(Poly(K, f), work_bound=None)
+    assert work() <= _rabin_work(K, f, checkpoints)
+    if p ** (n // 2) <= 2500:
+        assert trial_division_test(Poly(K, f), work_bound=None).irreducible == verdict.irreducible
