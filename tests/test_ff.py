@@ -341,6 +341,17 @@ RING_PRIMES = [2, 65521, 2**31 - 1, 2**61 - 1]
 RING_DEGREES = [32, 33, _LISTS_MAX_DEG + 1]
 
 
+def _ring_on(backend, p, f):
+    """A ring on the named backend: numpy below the crossover by lowering it
+    to deg f - 1, lists above it by declaring int64 sums unsafe."""
+    n = len(f) - 1
+    if backend == "numpy":
+        with patch("capelli.ff._LISTS_MAX_DEG", min(_LISTS_MAX_DEG, n - 1)):
+            return _ResidueRing(p, f)
+    with patch("capelli.ff._np_safe", return_value=False):
+        return _ResidueRing(p, f)
+
+
 @st.composite
 def _ring_case(draw, p, n):
     coeff, unit = st.integers(0, p - 1), st.integers(1, p - 1)
@@ -398,16 +409,19 @@ def test_ring_pow_matches_schoolbook(p, n, data):
     "p, n, backend",
     [
         (2, _LISTS_MAX_DEG, "lists"),
+        (65521, 33, "numpy"),
+        (2**61 - 1, 33, "lists"),
         (65521, _LISTS_MAX_DEG + 1, "numpy"),
         (2**61 - 1, _LISTS_MAX_DEG + 1, "lists"),
     ],
 )
 def test_ring_product_count_matches_model(p, n, backend):
-    """A product counts la*lb + max(0, la + lb - 1 - n)*t on every backend."""
+    """A product counts la*lb + max(0, la + lb - 1 - n)*t on every backend;
+    n = 33 runs the numpy kernels below the crossover."""
     rng = random.Random(n)
     f = [rng.randrange(p) for _ in range(n)] + [1]
     f[3] = f[7] = 0
-    ring = _ResidueRing(p, f)
+    ring = _ring_on("numpy", p, f) if backend == "numpy" else _ResidueRing(p, f)
     assert ring.backend == backend
     t = sum(1 for c in f[:n] if c)
     for la, lb in [(n, n), (n, 5), (7, 9), (1, n), (0, 4)]:
@@ -522,17 +536,17 @@ def test_from_indices_matches_from_index():
 
 # --- the Frobenius ladder ------------------------------------------------------
 
-# small p, with one n per backend: lists below the crossover, numpy above it,
-# and numpy's n with int64 sums declared unsafe (lists again)
+# small p, each n on both backends: lists and numpy's kernels forced at n = 33
+# below the crossover, numpy above it and lists there with int64 sums declared
+# unsafe; n = 12 on lists alone
 FROB_PRIMES = [2, 3, 5, 7, 13]
-FROB_BACKENDS = [("lists", 12), ("numpy", _LISTS_MAX_DEG + 1), ("lists", _LISTS_MAX_DEG + 1)]
-
-
-def _ring_on(backend, p, f):
-    if backend != "lists":
-        return _ResidueRing(p, f)
-    with patch("capelli.ff._np_safe", return_value=False):
-        return _ResidueRing(p, f)
+FROB_BACKENDS = [
+    ("lists", 12),
+    ("numpy", 33),
+    ("lists", 33),
+    ("numpy", _LISTS_MAX_DEG + 1),
+    ("lists", _LISTS_MAX_DEG + 1),
+]
 
 
 def _schoolbook_pow(K, f, a, e):
