@@ -38,6 +38,12 @@ products the binary ladder spends on one p-th power, and stays below
 n^2 + 2n coefficients, r = p and the step is a spread; otherwise
 (word-size p) r = 2 and the step is a squaring (``_spreads``).
 
+The ring also composes, g(h) mod f, by Brent and Kung's baby steps and
+giant steps in about 2 sqrt(n) products (``compose``). Where a ring does
+not spread, the Rabin oracle takes x^p once on the ladder and reaches each
+x^(p^k) by compositions, since x^(p^(i+j)) = x^(p^i) composed with
+x^(p^j) mod f (von zur Gathen and Shoup, 1992).
+
 A per-thread work meter tallies coefficient multiplications by a fixed
 model of the operand sizes (see ``count_mults``), never by what a backend
 happened to do. It is diagnostic instrumentation: results of all
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from math import isqrt
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -105,9 +112,12 @@ def count_mults():
     and low term to reduce. A Frobenius step a -> a^p spreads la
     coefficients over L = (la - 1)*p + 1 and counts only its fold,
     max(0, L - n)*t, with no products; ``_spreads`` decides which rings
-    take such steps. The count is the same on both backends, lists and
-    numpy. A batched product of N values (``pow_many``) counts N products
-    of full-length rows, N*(n^2 + (n - 1)*t), whatever the values' actual
+    take such steps. A composition g(h) mod f (``compose``) counts its
+    s + ceil(len g / s) - 2 products as above, and for each nonzero
+    coefficient of g whose index i is not a multiple of s the length of
+    the baby step h^(i mod s) it scales. The count is the same on both
+    backends, lists and numpy. A batched product of N values
+    (``pow_many``) counts N products of full-length rows, N*(n^2 + (n - 1)*t), whatever the values' actual
     lengths; over F_p it counts N, however the values are blocked. Outside
     the ring, a polynomial product counts la*lb, a division by a divisor of
     lb coefficients counts lb per quotient coefficient, and a power in F_p
@@ -383,6 +393,38 @@ class _ResidueRing:
                 if bit == "1":
                     r = mulmod(r, base)
         return r.tolist() if numpy else r
+
+    def compose(self, g: list[int], h: list[int]) -> list[int]:
+        """g(h) mod f for reduced g and h, by Brent and Kung's baby steps
+        and giant steps.
+
+        With s = ceil(sqrt(len g)), the baby steps are h^0, ..., h^(s-1)
+        and the giant step is H = h^s. Horner in H runs over the blocks of
+        s coefficients of g, from the top; each block is a combination of
+        the baby steps, plus the product by H of the blocks above it. That
+        is s + ceil(len g / s) - 2 products (see ``count_mults``).
+        """
+        if len(g) < 2:
+            return g
+        p, n, mul = self.p, self.n, self.mul
+        s = isqrt(len(g) - 1) + 1
+        baby = [h]  # h^1, ..., h^(s-1)
+        for _ in range(s - 2):
+            baby.append(mul(baby[-1], h))
+        giant = mul(baby[-1], h) if len(g) > s else []
+        meter = _METER_LOCAL.meter
+        r: list[int] = []
+        for k in range((len(g) - 1) // s * s, -1, -s):
+            acc = mul(r, giant)
+            acc += [0] * (n - len(acc))
+            acc[0] += g[k]
+            for c, a in zip(g[k + 1 : k + s], baby):
+                if c:
+                    meter.mults += len(a)
+                    for j, v in enumerate(a):
+                        acc[j] += c * v
+            r = _strip([v % p for v in acc], 0)
+        return r
 
     @property
     def batches(self) -> bool:

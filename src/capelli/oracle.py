@@ -14,6 +14,7 @@ raises instead of silently degrading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -23,6 +24,7 @@ from .ff import (
     _METER_LOCAL,
     Poly,
     PrimeField,
+    _ResidueRing,
     _divmod_raw,
     _gcd_raw,
     _np_safe,
@@ -68,20 +70,39 @@ def _raw_sub(K, a: list, b: list) -> list:
     return out
 
 
+def _doubling_chain(k: int, known) -> list[tuple[int, int]]:
+    """The compositions that reach x^(p^k) from the powers in ``known``.
+
+    ``known`` holds exponents j whose x^(p^j) mod f is at hand, 1 among
+    them. Each pair (k', i), in ascending k', stands for
+    x^(p^k') = x^(p^i) composed with x^(p^(k' - i)): k' is halved when
+    even and stepped down by one when odd, until it is known.
+    """
+    chain = []
+    while k not in known:
+        i = k - 1 if k & 1 else k >> 1
+        chain.append((k, i))
+        k = i
+    return chain[::-1]
+
+
 def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
     """An upper bound on the multiplications that rabin_test meters on f.
 
     Over F_p the powers x^(p^k) on the chain are charged what the residue
-    ring meters for them, on the ladder the ring picks, with every operand
-    at full length: n Frobenius steps in all, each folding (p - 1)(n - 1)
-    coefficients by t terms, and no products, when it spreads (see
-    ``ff._spreads``, which also bounds the spread); else a product of two
-    full residues per square-and-multiply step of each p^k. Each gcd is
-    charged n(n + 2): a Euclid step from l to l' < l coefficients meters
-    (l - l' + 1)*l', at most 2(j - 1) for each j in (l', l], so the steps
-    from n + 1 coefficients meter at most n(n + 1), and the final scaling
-    at most n. Reducing x modulo a linear f costs 2, and its powers are
-    native, one per step.
+    ring meters for them, with every operand at full length. A ring that
+    spreads (see ``ff._spreads``, which also bounds the spread) takes n
+    Frobenius steps in all, each folding (p - 1)(n - 1) coefficients by t
+    terms, and no products. Any other ring takes x^p on the binary ladder,
+    a product of two full residues per square-and-multiply step, and then
+    each composition of the doubling chain (``_doubling_chain``): Brent and
+    Kung's s + ceil(n / s) - 2 products for s = ceil(sqrt(n)), which no
+    shorter g exceeds, and at most n^2 for combining the baby steps. Each
+    gcd is charged n(n + 2): a Euclid step from l to l' < l coefficients
+    meters (l - l' + 1)*l', at most 2(j - 1) for each j in (l', l], so the
+    steps from n + 1 coefficients meter at most n(n + 1), and the final
+    scaling at most n. Reducing x modulo a linear f costs 2, and its powers
+    are native, one per step.
 
     Over K = F_p[y]/(g) of degree m the generic ladder runs, and the same
     counts are charged in products of K, each at most M = m^2 + (m - 1)t_g,
@@ -98,6 +119,14 @@ def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
         if n > 1 and _spreads(p, n, t):
             return work + n * (p - 1) * (n - 1) * t
         step = n * n + (n - 1) * t
+        if n > 1:
+            s = isqrt(n - 1) + 1
+            known = {1}
+            for e in checkpoints + [n]:
+                chain = _doubling_chain(e, known)
+                known.update(k for k, _ in chain)
+                work += len(chain) * ((s - 2 - (-n // s)) * step + n * n)
+            return work + (p.bit_length() + p.bit_count() - 2) * step
     else:
         m, t = K.degree, n - f[:n].count(K.zero)
         mul = m * m + (m - 1) * (m - K.modulus[:m].count(0))
@@ -119,8 +148,9 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
 
     f of degree n over F_q is irreducible iff x^(q^n) = x (mod f) and
     gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
-    powers are computed once along an ascending chain, so the total cost is
-    that of a single exponentiation to q^n.
+    powers are computed once along an ascending chain: on the ladder, at
+    the cost of a single exponentiation to q^n, or over F_p where the ring
+    does not spread, by x^p and O(log n) compositions (``_frobenius_climb``).
     """
     if f.is_zero:
         raise ValueError("rabin_test requires a nonzero polynomial")
@@ -141,22 +171,48 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
                 f"needs about {estimate} multiplications (bound {work_bound})"
             )
     x_red = _divmod_raw(K, [K.zero, K.one], fc)[1]
-    h = x_red
-    prev = 0
+    climb = _frobenius_climb(K, fc, x_red)
     for e in checkpoints:
-        h = _powmod_raw(K, h, q ** (e - prev), fc)
-        prev = e
-        diff = _raw_sub(K, h, x_red)
+        diff = _raw_sub(K, climb(e), x_red)
         if not diff:
             # x^(q^e) fixes x, so every factor has degree dividing e < n
             return OracleVerdict(False, "rabin")
         g = _gcd_raw(K, fc, diff)
         if len(g) > 1:
             return OracleVerdict(False, "rabin", witness=Poly(K, g))
-    h = _powmod_raw(K, h, q ** (n - prev), fc)
-    if h != x_red:
+    if climb(n) != x_red:
         return OracleVerdict(False, "rabin")
     return OracleVerdict(True, "rabin")
+
+
+def _frobenius_climb(K, fc: list, x_red: list):
+    """A function e -> x^(q^e) mod f, to be called with ascending e.
+
+    Over F_p one residue ring serves the test. Where it does not spread,
+    x^p is taken once on its ladder and each x^(p^e) by compositions from
+    the powers known so far (``_doubling_chain``). Elsewhere, and over
+    extension fields, each call climbs from the last power on the ladder,
+    h -> h^(q^(e - prev)).
+    """
+    ring = _ResidueRing(K.p, fc) if isinstance(K, PrimeField) else None
+    if ring is not None and not ring.spreads:
+        known = {1: ring.pow(x_red, K.p)}
+
+        def climb(e: int) -> list:
+            for k, i in _doubling_chain(e, known):
+                known[k] = ring.compose(known[i], known[k - i])
+            return known[e]
+
+    else:
+        known = {0: x_red}
+
+        def climb(e: int) -> list:
+            prev = max(known)
+            h, qe = known[prev], K.order ** (e - prev)
+            known[e] = ring.pow(h, qe) if ring else _powmod_raw(K, h, qe, fc)
+            return known[e]
+
+    return climb
 
 
 def _monic_candidates(K, degree: int) -> Iterator[tuple]:
@@ -186,20 +242,27 @@ def _candidate_block(p: int, j: int, start: int, count: int) -> np.ndarray:
 def _remainders(p: int, fc: list[int], low: np.ndarray) -> np.ndarray:
     """f mod x^j + low[:, k] for every column k, by one Horner pass.
 
-    Starts from the top j coefficients of f; for each lower coefficient it
-    shifts r by x, subtracts top * C, adds the coefficient and reduces mod
-    p. Entries stay in [0, p), so top * C < p^2 fits in int64.
+    Starts from the top j coefficients of f, one row each; for each lower
+    coefficient it reduces the top row mod p, rotates it to the bottom as
+    the new coefficient, and subtracts top * C from every row. Only the row
+    that multiplies is reduced, so top * C < p^2; a row takes at most j
+    such subtractions before it is the top, so entries stay above
+    -j(p - 1)^2. Where int64 cannot hold that (``_np_safe(p, j)`` fails),
+    every row is reduced at every step. All rows are reduced at the end.
     """
-    j = low.shape[0]
-    r = np.empty_like(low)
-    r[:] = np.asarray(fc[-j:], dtype=np.int64)[:, None]
+    j, count = low.shape
+    eager = not _np_safe(p, j)
+    rows = [np.full(count, c, dtype=np.int64) for c in fc[-j:]]
     for c in reversed(fc[:-j]):
-        t = r[-1] * low
-        r[1:] = r[:-1]
-        r[0] = c
-        r -= t
-        r %= p
-    return r
+        row = rows.pop()
+        top = row % p
+        row.fill(c)
+        rows.insert(0, row)
+        for r, coeff in zip(rows, low):
+            r -= top * coeff
+            if eager:
+                r %= p
+    return np.array(rows) % p
 
 
 def _batched_trial_division(p: int, fc: list[int]) -> Optional[list[int]]:

@@ -1,6 +1,9 @@
-"""Shared helpers: building the field of a given prime-power order."""
+"""Shared helpers: building the field of a given prime-power order, and
+drawing moduli over F_p for the residue-ring tests."""
 
 from functools import lru_cache
+
+from hypothesis import strategies as st
 
 from capelli import ExtensionField, PrimeField, enumerate_irreducibles, factor_integer
 
@@ -27,3 +30,22 @@ def prime_powers_up_to(bound: int, min_q: int = 2) -> list[int]:
         if len(set(factors)) == 1:
             out.append(q)
     return out
+
+
+COMPOSE_PRIMES = [13, 65521, 2**31 - 1, 2**61 - 1]
+
+
+@st.composite
+def modulus_case(draw, max_n):
+    """p from COMPOSE_PRIMES and a monic f over F_p of degree n <= max_n(p):
+    dense, sparse (x^n plus one to three low terms) or x^n itself."""
+    p = draw(st.sampled_from(COMPOSE_PRIMES), label="p")
+    n = draw(st.integers(1, max_n(p)), label="n")
+    shape = draw(st.sampled_from(["dense", "sparse", "power"]), label="shape")
+    if shape == "dense":
+        return p, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    f = [0] * n + [1]
+    if shape == "sparse":
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            f[j] = draw(st.integers(1, p - 1))
+    return p, f

@@ -87,6 +87,17 @@ def test_json_report_golden(capsys):
     assert out == golden
 
 
+def test_oracle_confirms_a_word_size_tower_step_under_the_default_bound(capsys):
+    """x^122 + 2 over F_{2^61-1}: Rabin by compositions fits the default budget."""
+    code, out, _ = run_cli(
+        capsys, "test", "-p", str(2**61 - 1), "--poly", "x^2+2", "-d", "61", "--oracle", "--json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "irreducible"
+    assert report["oracle"] == {"verdict": "irreducible", "agrees": True, "oracle_mults": "304724"}
+
+
 def test_prob_sample_report_golden_at_word_size_p(capsys):
     """Monte Carlo over F_p, p = 2^61 - 1: the Montgomery ladder decides every alpha."""
     code, out, _ = run_cli(

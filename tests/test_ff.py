@@ -1,6 +1,7 @@
 """Field and polynomial arithmetic: spec'd examples plus algebraic laws."""
 
 import random
+from math import isqrt
 from unittest.mock import patch
 
 import numpy as np
@@ -34,9 +35,9 @@ from capelli.ff import (
     _strip,
 )
 from capelli.intops import distinct_prime_factors, is_prime
-from capelli.oracle import _rabin_work, trial_division_test
+from capelli.oracle import _frobenius_climb, _rabin_work, trial_division_test
 
-from conftest import field_of_order, prime_powers_up_to
+from conftest import field_of_order, modulus_case, prime_powers_up_to
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -635,6 +636,51 @@ def test_word_size_p_keeps_the_binary_ladder(p):
                     ring.pow(a, e)
 
 
+# --- modular composition --------------------------------------------------------
+
+
+def _schoolbook_compose(K, f, g, h):
+    """The sum of g_i h^i mod f, by plain products and divisions."""
+    out, power = [0] * len(f), [1]
+    for c in g:
+        for i, v in enumerate(_gen_mul(K, [c], power)):
+            out[i] = K.add(out[i], v)
+        power = _gen_divmod(K, _gen_mul(K, power, h), f)[1]
+    return _strip(out, 0)
+
+
+@given(case=modulus_case(lambda p: 64), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_composition_matches_schoolbook(case, data):
+    """Brent-Kung on either backend equals the plain sum, and meters no more
+    than ``_rabin_work`` charges a composition."""
+    p, f = case
+    n, t = len(f) - 1, sum(1 for c in f[:-1] if c)
+    backend = data.draw(st.sampled_from(["lists", "numpy"]), label="backend")
+    ring = _ring_on(backend if _np_safe(p, n + 1) else "lists", p, f)
+    residue = st.lists(st.integers(0, p - 1), max_size=n).map(lambda v: _strip(v, 0))
+    g, h = data.draw(residue, label="g"), data.draw(residue, label="h")
+    with count_mults() as work:
+        composed = ring.compose(g, h)
+    assert composed == _schoolbook_compose(PrimeField(p), f, g, h)
+    s = isqrt(n - 1) + 1
+    assert work() <= (s + -(-n // s) - 2) * (n * n + (n - 1) * t) + n * n
+
+
+@given(case=modulus_case(lambda p: 64), ks=st.sets(st.integers(1, 6), min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_composition_chain_reaches_the_frobenius_powers_of_x(case, ks):
+    """x^(p^k) by x^p and a doubling chain of compositions, on every ring,
+    equals the ring's own ladder."""
+    p, f = case
+    K = PrimeField(p)
+    with patch("capelli.ff._spreads", return_value=False):
+        climb = _frobenius_climb(K, f, _gen_divmod(K, [0, 1], f)[1])
+    ring = _ResidueRing(p, f)
+    for k in sorted(ks):
+        assert climb(k) == ring.pow([0, 1], p**k)
+
+
 def test_rabin_work_pinned_on_the_degree_1458_tower_member():
     """x^1458 + x^729 + 1 over F_2: 1458 spreads and two gcds, no products."""
     f = Poly(F2, [1] + [0] * 728 + [1] + [0] * 728 + [1])
@@ -723,9 +769,6 @@ def test_rabin_estimate_covers_its_ladder_and_rabin_agrees_with_trial_division(c
     whichever ladder the rule picks; where trial division is cheap, both
     oracles agree."""
     p, f = case
-    n = len(f) - 1
-    # word-size p powers on the binary ladder in pure Python: keep n small
-    f = f if p not in WORD_PRIMES or n <= 6 else f[:6] + [1]
     n = len(f) - 1
     K = PrimeField(p)
     checkpoints = sorted({n // r for r in distinct_prime_factors(n)})

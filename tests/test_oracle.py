@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from math import isqrt
 from unittest.mock import patch
 
 import numpy as np
@@ -17,16 +18,17 @@ from capelli import (
     count_mults,
     count_monic_irreducibles,
     enumerate_irreducibles,
+    poly_gcd,
     poly_powmod,
     rabin_test,
     trial_division_test,
 )
 
 from capelli import oracle
-from capelli.ff import _divmod_raw, _np_safe, _ResidueRing
-from capelli.intops import is_prime
+from capelli.ff import _divmod_raw, _np_safe, _pf_divmod, _ResidueRing
+from capelli.intops import distinct_prime_factors, is_prime
 
-from conftest import field_of_order
+from conftest import field_of_order, modulus_case
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -57,7 +59,7 @@ def test_rabin_work_bound():
     rabin_test(Poly(F2, [1, 1, 1]), work_bound=None)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 65521])
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1, 2**61 - 1])
 def test_rabin_estimate_covers_the_metered_work(p):
     """A budget one below the metered work is refused up front."""
     rng = random.Random(p)
@@ -121,6 +123,48 @@ def test_rabin_rejects_a_power_of_x_over_word_size_p(p):
     ):
         assert not rabin_test(Poly(K, [0, 0, 1])).irreducible
         assert not rabin_test(Poly(K, [0] * 33 + [1])).irreducible
+
+
+def _ladder_rabin(K, f):
+    """Rabin with every Frobenius power on the ring's ladder: (irreducible, witness)."""
+    n, p = len(f) - 1, K.p
+    ring, x = _ResidueRing(p, f), _divmod_raw(K, [0, 1], f)[1]
+    h, prev = x, 0
+    for e in sorted({n // r for r in distinct_prime_factors(n)}):
+        h, prev = ring.pow(h, p ** (e - prev)), e
+        diff = Poly(K, h) - Poly(K, x)
+        if diff.is_zero:
+            return False, None
+        g = poly_gcd(Poly(K, f), diff)
+        if g.degree > 0:
+            return False, g
+    return ring.pow(h, p ** (n - prev)) == x, None
+
+
+# n <= 24 at word-size p, where the ladder reference is slow
+@given(case=modulus_case(lambda p: 64 if p < 2**16 else 24))
+@settings(max_examples=40, deadline=None)
+def test_rabin_by_compositions_matches_the_ladder(case):
+    """Verdict and witness equal those of Rabin on the ladder alone."""
+    p, f = case
+    K = PrimeField(p)
+    verdict = rabin_test(Poly(K, f), work_bound=None)
+    assert (verdict.irreducible, verdict.witness) == _ladder_rabin(K, f)
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1, 2**61 - 1])
+def test_rabin_by_compositions_accepts_what_the_ladder_accepts(p):
+    """Irreducible dense f, found by the ladder, and x^122 + 2 over F_{2^61-1}."""
+    K, rng = PrimeField(p), random.Random(p)
+    cases = [[2] + [0] * 121 + [1]] if p == 2**61 - 1 else []
+    for n in (2, 3, 5, 8, 12):
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        while not _ladder_rabin(K, f)[0]:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+        cases.append(f)
+    for f in cases:
+        assert _ladder_rabin(K, f) == (True, None)
+        assert rabin_test(Poly(K, f), work_bound=None).irreducible
 
 
 def test_trial_division_examples():
@@ -247,6 +291,24 @@ def test_remainder_pass_matches_division_up_to_the_int64_limit(p):
         rem = oracle._remainders(p, fc, low)
         for k in range(low.shape[1]):
             expected = _divmod_raw(K, fc, low[:, k].tolist() + [1])[1]
+            assert rem[:, k].tolist() == expected + [0] * (j - len(expected))
+
+
+@pytest.mark.parametrize("j", [2, 6, 12])
+def test_remainder_pass_reduces_lazily_up_to_its_int64_bound(j):
+    """Rows take up to j subtractions between reductions while ``_np_safe(p, j)``
+    holds, and are reduced at every step above it: at the largest such p and
+    the next prime, the pass equals ``_pf_divmod`` on every candidate."""
+    below = next(q for q in range(isqrt((1 << 62) // (j + 1)) + 2, 0, -1)
+                 if _np_safe(q, j) and is_prime(q))
+    above = next(q for q in range(below + 1, 2 * below) if is_prime(q))
+    for p in (below, above):
+        rng = random.Random(p)
+        fc = [rng.randrange(p - 9, p) for _ in range(3 * j + 4)]
+        low = np.array([[rng.randrange(p - 9, p) for _ in range(30)] for _ in range(j)])
+        rem = oracle._remainders(p, fc, low)
+        for k in range(low.shape[1]):
+            expected = _pf_divmod(p, fc, low[:, k].tolist() + [1])[1]
             assert rem[:, k].tolist() == expected + [0] * (j - len(expected))
 
 
