@@ -5,6 +5,7 @@ import random
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 from unittest.mock import patch
 
@@ -17,6 +18,7 @@ from capelli import (
     CertificateReplayError,
     Element,
     ExtensionField,
+    FourthPowerTest,
     NoViableStepError,
     Poly,
     PrimeField,
@@ -581,6 +583,53 @@ def test_certificate_replay_and_tampering():
     bad = TowerCertificate(5, (1, 0, 1), cert.steps, cert.final_degree)
     with pytest.raises(CertificateReplayError):
         replay_certificate(bad)
+
+
+def _fourth_power_on_the_d2_step(steps):
+    """The correct -4*alpha test at degree 4, where d = 2 admits none."""
+    F = ExtensionField(F5, compose_power(Poly(F5, [3, 1]), 4), trusted=True)
+    exponent = F.order_minus_one // 4
+    value = F.pow(F.mul(F.scalar(-4), F.gen()), exponent)
+    return steps[0], replace(steps[1], fourth_power=FourthPowerTest(exponent, value, False))
+
+
+def _with_prime_test(step, **changes):
+    return replace(step, prime_tests=(replace(step.prime_tests[0], **changes),))
+
+
+# Each mutation of the F_5 tower x + 3 -> [4, 2]: step 0 (d = 4, in F_5) carries a
+# prime test and the fourth-power test, step 1 (d = 2, in F_{5^4}) a prime test only.
+TOWER_MUTATIONS = {
+    "prime-exponent-plus-one": lambda s: (
+        s[0], _with_prime_test(s[1], exponent=s[1].prime_tests[0].exponent + 1)),
+    "prime-exponent-minus-one": lambda s: (
+        _with_prime_test(s[0], exponent=s[0].prime_tests[0].exponent - 1), s[1]),
+    "missing-prime-test": lambda s: (s[0], replace(s[1], prime_tests=())),
+    "extra-prime-test": lambda s: (
+        s[0], replace(s[1], prime_tests=s[1].prime_tests + s[1].prime_tests)),
+    "missing-fourth-power-test": lambda s: (replace(s[0], fourth_power=None), s[1]),
+    "wrong-fourth-power-exponent": lambda s: (
+        replace(s[0], fourth_power=replace(s[0].fourth_power, exponent=2)), s[1]),
+    "wrong-fourth-power-value": lambda s: (
+        replace(s[0], fourth_power=replace(s[0].fourth_power, result=(3,))), s[1]),
+    "fourth-power-test-where-4-does-not-divide-d": _fourth_power_on_the_d2_step,
+}
+
+
+@pytest.mark.parametrize("mutation", TOWER_MUTATIONS)
+def test_certificate_replay_refuses_each_tampered_test(mutation):
+    cert = grow_tower(Poly(F5, [3, 1]), [4, 2])
+    assert cert.steps[0].fourth_power is not None and cert.steps[1].fourth_power is None
+    assert replay_certificate(cert)
+    bad = replace(cert, steps=TOWER_MUTATIONS[mutation](cert.steps))
+    assert bad != cert
+    with pytest.raises(CertificateReplayError):
+        replay_certificate(bad)
+
+
+def test_certificate_replay_accepts_a_trivial_step_over_b_equal_to_x():
+    # alpha = 0 here, which only the d = 1 step may carry
+    assert replay_certificate(grow_tower(Poly(F2, [0, 1]), [1]))
 
 
 def test_certificate_replay_rejects_non_prime_p():
