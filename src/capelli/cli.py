@@ -26,6 +26,7 @@ from .criterion import (
     Verdict,
     ZeroRootEvidence,
     _next_step,
+    _test_json,
     decide_b_xd,
     grow_tower,
 )
@@ -57,20 +58,9 @@ def _evidence_json(ev) -> Optional[dict]:
     if ev is None:
         return None
     if isinstance(ev, ResidueTest):
-        return {
-            "kind": "prime-residue",
-            "dprime": str(ev.dprime),
-            "exponent": str(ev.exponent),
-            "result": [str(c) for c in ev.result],
-            "is_power": ev.is_power,
-        }
+        return {"kind": "prime-residue", **_test_json(ev), "is_power": ev.is_power}
     if isinstance(ev, FourthPowerTest):
-        return {
-            "kind": "fourth-power",
-            "exponent": str(ev.exponent),
-            "result": [str(c) for c in ev.result],
-            "is_power": ev.is_power,
-        }
+        return {"kind": "fourth-power", **_test_json(ev), "is_power": ev.is_power}
     if isinstance(ev, Shortcut):
         return {
             "kind": "shortcut",

@@ -27,17 +27,16 @@ N(alpha) = (-1)^(k+1) * beta; the value is computed in F_p[y]/(b_k) and
 embedded by y^i -> x^(ik), with no reduction. The smallest subfield that
 holds the value is used, and the direct ladder in F otherwise. In a sparse
 tower every step is such a composition, so a step costs about as much as
-deciding at its base. Replay does not descend: it raises alpha itself in
-F with the residue ring's ladder (Frobenius steps included), so generation
-and replay still check each other.
+deciding at its base.
 
 ``decide_many`` decides x^d - alpha for a batch of alpha in one field, as
 the census and Monte Carlo need: the shortcuts and the residue plan once,
 then one vectorized ladder per prime d' dividing d.
 
-Accepted tower steps record every residue test performed; the resulting
-certificate can be replayed from scratch and must reproduce the evidence
-bit for bit.
+Accepted tower steps record every residue test performed. Replay decides
+each step again without descent, raising alpha itself in F with the residue
+ring's ladder (Frobenius steps included), and compares whole steps, so
+generation and replay still check each other.
 """
 
 from __future__ import annotations
@@ -353,6 +352,17 @@ class _DescentField(ExtensionField):
         return super().pow(a, e)
 
 
+def _root(b: Poly, descent: bool) -> Optional[Element]:
+    """The residue of x modulo b, None when b = x: in F_p when deg b = 1, else
+    in F_p[x]/(b) as a _DescentField, or a plain ExtensionField without descent."""
+    K = b.field
+    if b.degree == 1:
+        alpha_raw = K.neg(b.coeffs[0])
+        return Element(K, alpha_raw) if alpha_raw else None
+    F = _DescentField(b) if descent else ExtensionField(K, b, trusted=True)
+    return Element(F, F.gen())
+
+
 def decide_b_xd(
     b: Poly,
     d: int,
@@ -389,20 +399,15 @@ def decide_b_xd(
     shortcut = reducibility_shortcuts(K.p, m, d)
     if shortcut is not None:
         return Verdict(False, shortcut.reason, evidence=shortcut)
-    if m == 1:
-        alpha_raw = K.neg(b.coeffs[0])
-        if alpha_raw == 0:
-            # b = x, so b(x^d) = x^d
-            smallest = distinct_prime_factors(d)[0]
-            return Verdict(
-                False,
-                Reason.ALPHA_IS_DPRIME_POWER,
-                evidence=ZeroRootEvidence(dprime=smallest),
-            )
-        alpha = Element(K, alpha_raw)
-    else:
-        F = _DescentField(b)
-        alpha = Element(F, F.gen())
+    alpha = _root(b, descent=True)
+    if alpha is None:
+        # b = x, so b(x^d) = x^d
+        smallest = distinct_prime_factors(d)[0]
+        return Verdict(
+            False,
+            Reason.ALPHA_IS_DPRIME_POWER,
+            evidence=ZeroRootEvidence(dprime=smallest),
+        )
     return decide_xd_minus_alpha(alpha, d)
 
 
@@ -420,13 +425,24 @@ class TowerStep:
     fourth_power: Optional[FourthPowerTest] = None
 
 
+def _test_json(test: Union[ResidueTest, FourthPowerTest]) -> dict:
+    """A residue test's evidence as JSON fields, every integer a decimal string.
+
+    An exponent has about m*log10(p) digits; Decimal writes it past the
+    interpreter's int/str limit (4300 digits by default) and leaves that unchanged.
+    """
+    fields = {"dprime": str(test.dprime)} if isinstance(test, ResidueTest) else {}
+    fields["exponent"] = str(Decimal(test.exponent))
+    fields["result"] = [str(c) for c in test.result]
+    return fields
+
+
 @dataclass(frozen=True)
 class TowerCertificate:
     """Replayable record of a tower run: base, steps, and final degree.
 
     ``base`` stores the little-endian coefficients of the starting
-    polynomial. Replaying recomputes every recorded test value in the field
-    built from the previous composition.
+    polynomial; ``replay_certificate`` decides every step again.
     """
 
     p: int
@@ -444,33 +460,15 @@ class TowerCertificate:
         return b
 
     def to_json_dict(self) -> dict:
-        """The JSON document; every integer is a decimal string.
-
-        An exponent has about m*log10(p) digits, past the interpreter's
-        int/str limit (4300 by default) once q > 10^4300. Decimal converts
-        without that limit and leaves it unchanged.
-        """
-
-        def test_dict(t):
-            return {
-                "dprime": str(t.dprime),
-                "exponent": str(Decimal(t.exponent)),
-                "result": [str(c) for c in t.result],
-            }
-
-        steps = []
-        for step in self.steps:
-            entry = {
+        """The JSON document; every integer is a decimal string."""
+        steps = [
+            {
                 "d": str(step.d),
-                "prime_tests": [test_dict(t) for t in step.prime_tests],
-                "fourth_power_test": None,
+                "prime_tests": [_test_json(t) for t in step.prime_tests],
+                "fourth_power_test": _test_json(step.fourth_power) if step.fourth_power else None,
             }
-            if step.fourth_power is not None:
-                entry["fourth_power_test"] = {
-                    "exponent": str(Decimal(step.fourth_power.exponent)),
-                    "result": [str(c) for c in step.fourth_power.result],
-                }
-            steps.append(entry)
+            for step in self.steps
+        ]
         return {
             "format": "tower-certificate/1",
             "p": str(self.p),
@@ -642,11 +640,10 @@ def replay_certificate(
     verify_base: bool = True,
     work_bound: Optional[int] = DEFAULT_WORK_BOUND,
 ) -> bool:
-    """Recompute every test in a certificate; raise on any discrepancy.
+    """Decide every step of a certificate again; raise on any discrepancy.
 
-    Rebuilds each step's field from the previous composition, recomputes
-    exponents and power values, and demands bit-for-bit agreement with the
-    recorded evidence plus a non-identity result for every test.
+    Each step is decided without descent, in the field of the previous
+    composition: the verdict must be irreducible and its tests the recorded ones.
 
     ``work_bound`` (None: unbounded) also bounds the size of the document:
     a final degree above it is refused before any field is built, each
@@ -697,55 +694,18 @@ def _replay(cert: TowerCertificate, verify_base: bool, work_bound: Optional[int]
             raise CertificateReplayError(
                 f"step {i}: a whole-field shortcut proves d={d} reducible at degree {m}"
             )
-        order_minus_one = p**m - 1
-        expected_primes = distinct_prime_factors(d)
-        recorded_primes = tuple(t.dprime for t in step.prime_tests)
-        if recorded_primes != expected_primes:
+        alpha = _root(b, descent=False)
+        if alpha is None:
+            raise CertificateReplayError(f"step {i}: base has root 0, never certifiable")
+        verdict = decide_xd_minus_alpha(alpha, d)
+        if not verdict.irreducible:
             raise CertificateReplayError(
-                f"step {i}: recorded prime tests {recorded_primes} != expected {expected_primes}"
+                f"step {i}: the criterion rejects d={d} at degree {m} ({verdict.reason.value})"
             )
-        if m == 1:
-            F = K
-            alpha_raw = K.neg(b.coeffs[0])
-            if alpha_raw == 0:
-                raise CertificateReplayError(f"step {i}: base has root 0, never certifiable")
-        else:
-            F = ExtensionField(K, b, trusted=True)
-            alpha_raw = F.gen()
-        for t in step.prime_tests:
-            exponent = order_minus_one // math.gcd(t.dprime, order_minus_one)
-            if exponent != t.exponent:
-                raise CertificateReplayError(
-                    f"step {i}: exponent for d'={t.dprime} should be {exponent}, "
-                    f"certificate says {t.exponent}"
-                )
-            value = F.pow(alpha_raw, exponent)
-            if _element_coeffs(F, value) != tuple(t.result):
-                raise CertificateReplayError(
-                    f"step {i}: recomputed alpha^{exponent} differs from recorded result"
-                )
-            if value == F.one:
-                raise CertificateReplayError(
-                    f"step {i}: alpha is a {t.dprime}-th power; step could not have been accepted"
-                )
-        if d % 4 == 0:
-            if step.fourth_power is None:
-                raise CertificateReplayError(f"step {i}: 4 | d but no fourth-power test recorded")
-            exponent = order_minus_one // math.gcd(4, order_minus_one)
-            if exponent != step.fourth_power.exponent:
-                raise CertificateReplayError(f"step {i}: fourth-power exponent mismatch")
-            minus4a = F.mul(F.scalar(-4), alpha_raw)
-            value = F.pow(minus4a, exponent)
-            if _element_coeffs(F, value) != tuple(step.fourth_power.result):
-                raise CertificateReplayError(
-                    f"step {i}: recomputed fourth-power value differs from recorded result"
-                )
-            if value == F.one:
-                raise CertificateReplayError(
-                    f"step {i}: -4*alpha is a fourth power; step could not have been accepted"
-                )
-        elif step.fourth_power is not None:
-            raise CertificateReplayError(f"step {i}: fourth-power test recorded but 4 does not divide d")
+        if _step_from_verdict(d, verdict) != step:
+            raise CertificateReplayError(
+                f"step {i}: recorded residue tests for d={d} differ from the recomputed ones"
+            )
         if i + 1 < len(cert.steps):
             # the last composition is never tested, so it is never built
             b = compose_power(b, d)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from decimal import Decimal
 
 import capelli
 from capelli import TowerCertificate, replay_certificate
@@ -191,6 +192,24 @@ def test_generate_rejected_step_report(capsys):
     report = json.loads(out)
     assert report["error"] == "step-rejected"
     assert report["reason"] == "alpha-is-dprime-power"
+
+
+def test_rejected_step_report_writes_exponents_past_the_digit_limit(capsys):
+    # step 9 runs at degree 2*3^9 = 39,366: its d' = 7 exponent has 11,850 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys, "generate", "-p", "2", "--start", "x^2+x+1",
+        "--schedule", "3,3,3,3,3,3,3,3,3,7", "--json",
+    )
+    assert code == 1
+    assert sys.get_int_max_str_digits() == limit
+    report = json.loads(out)
+    assert (report["error"], report["step"], report["d"]) == ("step-rejected", "9", "7")
+    assert report["reason"] == "alpha-is-dprime-power"
+    exponent = report["evidence"]["exponent"]
+    assert len(exponent) == 11850
+    assert int(Decimal(exponent)) == (2**39366 - 1) // 7
+    assert report["tests"] == [report["evidence"]]
 
 
 def test_bench_partial_table_on_rejection(capsys):

@@ -747,6 +747,80 @@ def test_certificate_rejects_malformed_exponents():
             TowerCertificate.from_json_dict(doc)
 
 
+@lru_cache(maxsize=None)
+def _fuzz_document_text(name):
+    base, schedule = {"F2 [3, 3]": (Poly(F2, [1, 1, 1]), [3, 3]),
+                      "F5 [4, 2]": (Poly(F5, [3, 1]), [4, 2])}[name]
+    return json.dumps(grow_tower(base, schedule).to_json_dict())
+
+
+def _paths(node, path=()):
+    """The path (keys and indices) of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+JSON_VALUES = st.one_of(
+    st.text(max_size=4),
+    st.integers(-10**6, 10**6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["d", "exponent", "result", "dprime"]), st.just("1"), max_size=2),
+    st.none(),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_replay_of_a_mutated_document_accepts_or_refuses_within_bounds(data):
+    """Every mutated document either replays True or is refused with
+    CertificateReplayError, in under 1 s and 1 MiB per document."""
+    doc = json.loads(_fuzz_document_text(data.draw(st.sampled_from(["F2 [3, 3]", "F5 [4, 2]"]))))
+    p, steps = int(doc["p"]), doc["steps"]
+    mutation = data.draw(st.sampled_from(
+        ["delete", "swap-type", "bad-d", "exponent", "coefficient", "reorder", "other-p"]))
+    if mutation == "delete":
+        path = data.draw(st.sampled_from([q for q in _paths(doc) if isinstance(_at(doc, q[:-1]), dict)]))
+        del _at(doc, path[:-1])[path[-1]]
+    elif mutation == "swap-type":
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        _at(doc, path[:-1])[path[-1]] = data.draw(JSON_VALUES)
+    elif mutation == "bad-d":
+        data.draw(st.sampled_from(steps))["d"] = str(data.draw(st.sampled_from([0, -1, 3**40])))
+    elif mutation == "exponent":
+        tests = [t for s in steps for t in s["prime_tests"] + [s["fourth_power_test"]] if t]
+        test = data.draw(st.sampled_from(tests))
+        test["exponent"] = str(int(test["exponent"]) + data.draw(st.sampled_from([-1, 1])))
+    elif mutation == "coefficient":
+        coeffs = data.draw(st.sampled_from(
+            [doc["base"]] + [t["result"] for s in steps for t in s["prime_tests"]]))
+        i = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = str((int(coeffs[i]) + data.draw(st.integers(1, p - 1))) % p)
+    elif mutation == "reorder":
+        doc["steps"] = data.draw(st.permutations(steps))
+    else:
+        doc["p"] = str(data.draw(st.sampled_from([q for q in (2, 3, 5, 7, 2**61 - 1) if q != p])))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert replay_certificate(TowerCertificate.from_json_dict(doc)) is True
+    except CertificateReplayError:
+        pass
+    finally:
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
 def test_tower_trivial_steps():
     cert = grow_tower(Poly(F2, [1, 1, 1]), [1, 3, 1])
     assert cert.final_degree == 6
