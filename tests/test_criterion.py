@@ -756,7 +756,12 @@ def _fuzz_document_text(name):
 
 def _paths(node, path=()):
     """The path (keys and indices) of every value below the root of a JSON document."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
     for key, child in items:
         yield path + (key,)
         yield from _paths(child, path + (key,))
@@ -772,7 +777,7 @@ JSON_VALUES = st.one_of(
     st.text(max_size=4),
     st.integers(-10**6, 10**6),
     st.lists(st.integers(-3, 3), max_size=3),
-    st.dictionaries(st.sampled_from(["d", "exponent", "result", "dprime"]), st.just("1"), max_size=2),
+    st.dictionaries(st.sampled_from(["d", "exponent", "result"]), st.just("1"), max_size=2),
     st.none(),
 )
 
@@ -787,7 +792,8 @@ def test_replay_of_a_mutated_document_accepts_or_refuses_within_bounds(data):
     mutation = data.draw(st.sampled_from(
         ["delete", "swap-type", "bad-d", "exponent", "coefficient", "reorder", "other-p"]))
     if mutation == "delete":
-        path = data.draw(st.sampled_from([q for q in _paths(doc) if isinstance(_at(doc, q[:-1]), dict)]))
+        keys = [q for q in _paths(doc) if isinstance(_at(doc, q[:-1]), dict)]
+        path = data.draw(st.sampled_from(keys))
         del _at(doc, path[:-1])[path[-1]]
     elif mutation == "swap-type":
         path = data.draw(st.sampled_from(list(_paths(doc))))
