@@ -557,6 +557,24 @@ def test_tower_paranoid_mode():
     assert cert.final_degree == 18
 
 
+@pytest.mark.parametrize(
+    "p, base, how, degree, generate, replay",
+    [
+        (2, [1, 1, 1], {"schedule": [3] * 7}, 4374, 7, 2_949_341),
+        (2**61 - 1, [2, 0, 1], {"target_degree": 7442}, 7442, 1_995, 37_027_345),
+    ],
+    ids=["tower-p2", "tower-wordp"],
+)
+def test_tower_generate_and_replay_work_pinned(p, base, how, degree, generate, replay):
+    """The benchmark's two towers: what growing and replaying each meters."""
+    with count_mults() as work:
+        cert = grow_tower(Poly(PrimeField(p), base), **how)
+    assert (cert.final_degree, work()) == (degree, generate)
+    with count_mults() as work:
+        assert replay_certificate(cert)
+    assert work() == replay
+
+
 def test_certificate_replay_and_tampering():
     cert = grow_tower(Poly(F3, [2, 1, 1]), [2, 2])
     assert replay_certificate(cert)

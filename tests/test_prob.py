@@ -15,6 +15,7 @@ from capelli import (
     PrimeField,
     Reason,
     Verdict,
+    count_mults,
     decide_xd_minus_alpha,
     exact_probability,
     exhaustive_census,
@@ -197,3 +198,13 @@ def test_monte_carlo_batches_keep_the_draw_order(monkeypatch):
     expected = _per_alpha_successes(5, 3, 8, 500, 3)
     monkeypatch.setattr(prob, "_SAMPLE_BATCH", 7)
     assert monte_carlo_estimate(5, 3, 8, 500, seed=3).successes == expected
+
+
+def test_census_and_monte_carlo_work_pinned():
+    """Batched ladders over F_{3^6} and Montgomery ladders at p = 2^61 - 1:
+    what a census and a Monte Carlo run meter together."""
+    with count_mults() as work:
+        census = exhaustive_census(3, 6, 4, oracle_fraction=0)
+        sample = monte_carlo_estimate(2**61 - 1, 1, 6, 30000, seed=7)
+    assert (census.irreducible_count, sample.successes) == (364, 9834)
+    assert work() == 5_249_068
