@@ -23,20 +23,20 @@ int lists up to degree ``_LISTS_MAX_DEG``, int64 numpy kernels above it
 when the sums cannot overflow, and lists otherwise. Both reduce by
 folding with the t nonzero terms of x^n - f, so a ring costs O(n) to
 build and sparse moduli such as b(x^d) reduce in O(t) per coefficient.
-A batch of residues, an (N, n) int64 array, is raised to a power by one
-square-and-multiply ladder over the whole batch, folded by the same terms
-(``pow_many``). A batch of F_p values is raised by an int64 ladder when
-products fit, and otherwise (p above about 1.5 * 10^9) by a Montgomery
-ladder on uint64 arrays, in blocks, exact for every odd p < 2^64.
 
-The ring has one powering ladder. It reads the exponent in a radix r and
-spends, per digit, one step a -> a^r and one product by a^digit if the
-digit is nonzero. Over F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius
-step) is a spread of the coefficients to stride p and a fold by f, with no
-products. When one spread counts no more in the work model than the
-products the binary ladder spends on one p-th power, and stays below
-n^2 + 2n coefficients, r = p and the step is a spread; otherwise
-(word-size p) r = 2 and the step is a squaring (``_spreads``).
+The module has one powering ladder, ``_ladder``, and every power runs on
+it: residues; an (N, n) int64 batch of residues, folded by the same terms
+(``pow_many``); a batch of F_p values on int64 arrays or, for p above
+about 1.5 * 10^9, in Montgomery form on uint64 arrays; polynomials over an
+extension field. It reads the exponent in a radix r and spends, per digit,
+one step a -> a^r and one product by a^digit if the digit is nonzero. Over
+F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius step) is a spread of
+the coefficients to stride p and a fold by f, with no products. Only
+``_ResidueRing.pow`` passes r = p with that step, when one spread counts
+no more in the work model than the products the binary ladder spends on
+one p-th power (``_ladder_products``) and stays below n^2 + 2n
+coefficients (``_spreads``). Every other power, word-size p included,
+takes r = 2 and squares.
 
 The ring also composes, g(h) mod f, by Brent and Kung's baby steps and
 giant steps in about 2 sqrt(n) products (``compose``). Where a ring does
@@ -80,6 +80,7 @@ _NP_MUL_MIN_WORK = 256  # len(a)*len(b) below this: pure python wins
 # won for sparse f up to n = 128, numpy for dense f from n = 64 to 128 on
 _LISTS_MAX_DEG = 64
 _MONTGOMERY_BLOCK = 4096  # values per Montgomery ladder; larger blocks outgrow the cache
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class WorkMeter:
@@ -181,12 +182,7 @@ def _montgomery_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
         t = hi + _mulhi(m, P)
         return np.where((t < hi) | (t >= P), t - P, t)
 
-    base = mul(a, np.uint64((1 << 128) % p))
-    r = base
-    for bit in bin(e)[3:]:
-        r = mul(r, r)
-        if bit == "1":
-            r = mul(r, base)
+    r = _ladder(mul(a, np.uint64((1 << 128) % p)), e, mul)
     return mul(r, np.uint64(1))
 
 
@@ -201,6 +197,16 @@ def _strip(coeffs: list, zero) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _product_lists(a: list[int], b: list[int]) -> list[int]:
+    # the schoolbook product of nonempty int lists, not reduced mod p
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                prod[k] += ai * bj
+    return prod
+
+
 def _pf_mul(p: int, a: list[int], b: list[int]) -> list[int]:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
@@ -209,12 +215,7 @@ def _pf_mul(p: int, a: list[int], b: list[int]) -> list[int]:
     if la * lb >= _NP_MUL_MIN_WORK and _np_safe(p, min(la, lb)):
         out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return _strip((out % p).tolist(), 0)
-    out = [0] * (la + lb - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _strip([v % p for v in out], 0)
+    return _strip([v % p for v in _product_lists(a, b)], 0)
 
 
 def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -267,14 +268,14 @@ def _spreads(p: int, n: int, t: int) -> bool:
     squaring is always taken. For p = 2 this is that comparison alone.
     """
     spread = (p - 1) * (n - 1)
-    squarings = p.bit_length() + p.bit_count() - 2
+    squarings = _ladder_products(p)
     return spread < n * n + n and spread * max(t, 1) <= squarings * (n * n + (n - 1) * t)
 
 
-def _base_digits(e: int, p: int) -> list[int]:
+def _base_digits(e: int, p: int) -> Sequence[int]:
     """The base-p digits of e > 0, most significant first."""
     if p == 2:
-        return list(map(int, bin(e)[2:]))
+        return bin(e)[2:].encode().translate(_BITS)  # bytes 0 and 1
     k = max(1, 62 // p.bit_length())  # digits per word-size chunk
     chunk = p**k
     out = []
@@ -299,23 +300,47 @@ def _digit_power(powers: dict, j: int, mulmod):
     return powers[j]
 
 
+def _ladder(a, e: int, mulmod, radix: int = 2, step=None):
+    """a^e for e >= 1, for any values with a product ``mulmod``, by the
+    left-to-right m-ary method in radix r (Knuth, TAOCP vol. 2, 4.6.3).
+    Each base-r digit of e after the first costs one step x -> x^r, by
+    ``step`` or else by squaring (r = 2), and one product by a^digit if it
+    is nonzero; a^digit is built the first time a digit needs it."""
+    powers = {1: a}
+    digits = _base_digits(e, radix)
+    r = _digit_power(powers, digits[0], mulmod)
+    for d in digits[1:]:
+        r = step(r) if step else mulmod(r, r)
+        if d:
+            r = mulmod(r, _digit_power(powers, d, mulmod))
+    return r
+
+
+def _ladder_products(e: int) -> int:
+    """The products the binary ladder spends on a^e: one squaring per bit of
+    e after the first, one product per set bit after the first; 0 for e < 2."""
+    return max(0, e.bit_length() + e.bit_count() - 2)
+
+
 class _ResidueRing:
     """Arithmetic in F_p[x]/(f) for one monic f of degree n >= 1.
 
     Values are trimmed little-endian int lists with entries in [0, p). The
     backend follows from (p, n) alone: int64 numpy for n > _LISTS_MAX_DEG
-    when the sums cannot overflow, plain int lists otherwise. Both reduce
-    by rewriting x^n as low(x) = x^n - f, whose t nonzero terms are
-    ``terms``: lists fold one quotient coefficient at a time from the top,
-    t adds each; numpy folds the whole high part at once when low has few
-    terms. Building a ring is O(n). Every backend meters the same work (see
-    ``count_mults``). The ladder in ``pow`` follows from (p, n, t) by
-    ``_spreads``.
+    when the sums cannot overflow, plain int lists otherwise. A backend is
+    a product kernel and a fold kernel, bound at construction: the
+    schoolbook ``_product_lists`` or ``np.convolve``, and ``_reduce_lists``
+    or ``_reduce_np``. Both folds rewrite x^n as low(x) = x^n - f, whose t
+    nonzero terms are ``terms``: lists fold one quotient coefficient at a
+    time from the top, t adds each; numpy folds the whole high part at once
+    when low has few terms. Building a ring is O(n). ``_mul`` and ``_frob``
+    meter the same work on either backend (see ``count_mults``). The ladder
+    in ``pow`` follows from (p, n, t) by ``_spreads``.
     """
 
     __slots__ = (
         "p", "n", "terms", "backend", "spreads",
-        "_sparse", "_maxnz", "_low_np", "_mulmod", "_frob",
+        "_sparse", "_maxnz", "_low_np", "_product", "_fold",
     )
 
     def __init__(self, p: int, f: Sequence[int]):
@@ -329,14 +354,15 @@ class _ResidueRing:
         low = [(-c) % p for c in f[:n]]
         self.terms = tuple((j, c) for j, c in enumerate(low) if c)
         self.spreads = _spreads(p, n, len(self.terms))
-        self._mulmod, self._frob = self._mul_lists, self._frob_lists
+        self._product, self._fold = _product_lists, self._reduce_lists
         if n > _LISTS_MAX_DEG and _np_safe(p, n + 1):
             self.backend = "numpy"
             self._maxnz = max((j for j, _ in self.terms), default=-1)
             folds = 1 + (n - 2) // (n - self._maxnz)
             self._sparse = len(self.terms) * folds * 4 <= n
             self._low_np = np.asarray(low, dtype=np.int64)
-            self._mulmod, self._frob = self._mul_np, self._frob_np
+            self._product = lambda a, b: np.convolve(a, b) % p
+            self._fold = self._reduce_np
         else:
             self.backend = "lists"
 
@@ -353,45 +379,26 @@ class _ResidueRing:
         """a*b mod f, for reduced a and b."""
         if self.backend == "numpy":
             a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            return self._mul_np(a, b).tolist()
-        return self._mul_lists(a, b)
-
-    def frobenius(self, a: list[int]) -> list[int]:
-        """a^p mod f for reduced a: a(x^p) mod f, one spread and a fold
-        when ``spreads`` holds, else the binary ladder."""
-        return self.pow(a, self.p)
+            return self._mul(a, b).tolist()
+        return self._mul(a, b)
 
     def pow(self, a: list[int], e: int) -> list[int]:
-        """a^e mod f; e is any non-negative int.
-
-        The ladder reads e in radix p when ``spreads`` holds, else in
-        radix 2. Each digit after the first costs one step, a Frobenius
-        step or a squaring, and one product by a^digit if it is nonzero;
-        in radix 2 that is square-and-multiply.
-        """
+        """a^e mod f; e is any non-negative int. ``_ladder`` reads e in
+        radix p with Frobenius steps when ``spreads`` holds, else in radix 2
+        with squarings: square-and-multiply."""
         a = self.reduce(a)
         if e < 2:
             return a if e else [1]
         if self.n == 1 and a:
             # residues are constants: hand the same ladder to the native pow
-            _METER_LOCAL.meter.mults += e.bit_length() + e.bit_count() - 2
+            _METER_LOCAL.meter.mults += _ladder_products(e)
             return [pow(a[0], e, self.p)]
         numpy = self.backend == "numpy"
-        r = base = np.asarray(a, dtype=np.int64) if numpy else a
-        mulmod = self._mulmod
+        base = np.asarray(a, dtype=np.int64) if numpy else a
         if self.spreads:
-            frob, powers = self._frob, {1: base}
-            digits = _base_digits(e, self.p)
-            r = _digit_power(powers, digits[0], mulmod)
-            for d in digits[1:]:
-                r = frob(r)
-                if d:
-                    r = mulmod(r, _digit_power(powers, d, mulmod))
+            r = _ladder(base, e, self._mul, self.p, self._frob)
         else:
-            for bit in bin(e)[3:]:
-                r = mulmod(r, r)
-                if bit == "1":
-                    r = mulmod(r, base)
+            r = _ladder(base, e, self._mul)
         return r.tolist() if numpy else r
 
     def compose(self, g: list[int], h: list[int]) -> list[int]:
@@ -458,36 +465,29 @@ class _ResidueRing:
             out = np.zeros_like(a)
             out[:, 0] = 1
             return out
-        r = a
-        for bit in bin(e)[3:]:
-            r = self.mul_many(r, r)
-            if bit == "1":
-                r = self.mul_many(r, a)
-        return r
+        return _ladder(a, e, self.mul_many)
 
-    # backends: products of reduced values, as lists or as int64 arrays ------
+    # kernels: values as lists or as int64 arrays, after the backend -----------
 
-    def _mul_lists(self, a: list[int], b: list[int]) -> list[int]:
+    def _mul(self, a, b):
+        """a*b mod f for reduced a and b: the product kernel, then the fold."""
         la, lb = len(a), len(b)
         if not la or not lb:
-            return []
+            return a[:0]
         _METER_LOCAL.meter.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
-        prod = [0] * (la + lb - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    prod[k] += ai * bj
-        return self._reduce_lists(prod)
+        return self._fold(self._product(a, b))
 
-    def _frob_lists(self, a: list[int]) -> list[int]:
-        if not a:
+    def _frob(self, a):
+        """a^p mod f for reduced a: a(x^p), spread to stride p, then the fold."""
+        if not len(a):
             return a
-        spread = [0] * ((len(a) - 1) * self.p + 1)
+        size = (len(a) - 1) * self.p + 1
+        spread = np.zeros(size, dtype=np.int64) if self.backend == "numpy" else [0] * size
         spread[:: self.p] = a
-        if len(spread) <= self.n:
+        if size <= self.n:
             return spread
-        _METER_LOCAL.meter.mults += (len(spread) - self.n) * len(self.terms)
-        return self._reduce_lists(spread)
+        _METER_LOCAL.meter.mults += (size - self.n) * len(self.terms)
+        return self._fold(spread)
 
     def _reduce_lists(self, a: list[int]) -> list[int]:
         # a: nonnegative ints, not yet reduced mod p; consumed
@@ -501,23 +501,6 @@ class _ResidueRing:
         while out and not out[-1]:
             out.pop()
         return out
-
-    def _mul_np(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        la, lb = a.shape[0], b.shape[0]
-        if not la or not lb:
-            return a[:0]
-        _METER_LOCAL.meter.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
-        return self._reduce_np(np.convolve(a, b) % self.p)
-
-    def _frob_np(self, a: np.ndarray) -> np.ndarray:
-        if not a.shape[0]:
-            return a
-        spread = np.zeros((a.shape[0] - 1) * self.p + 1, dtype=np.int64)
-        spread[:: self.p] = a
-        if spread.shape[0] <= self.n:
-            return spread
-        _METER_LOCAL.meter.mults += (spread.shape[0] - self.n) * len(self.terms)
-        return self._reduce_np(spread)
 
     def _reduce_np(self, r: np.ndarray) -> np.ndarray:
         # r: entries in [0, p); consumed
@@ -602,16 +585,7 @@ def _powmod_raw(K, base: list, e: int, mod: list) -> list:
     _, r = _divmod_raw(K, base, mod)
     if e == 0:
         return [K.one]
-    if not r:
-        return []
-    out = list(r)
-    for bit in bin(e)[3:]:
-        out = _divmod_raw(K, _gen_mul(K, out, out), mod)[1]
-        if bit == "1":
-            out = _divmod_raw(K, _gen_mul(K, out, r), mod)[1]
-        if not out:
-            return []
-    return out
+    return _ladder(r, e, lambda x, y: _divmod_raw(K, _gen_mul(K, x, y), mod)[1])
 
 
 def _gcd_raw(K, a: list, b: list) -> list:
@@ -699,7 +673,7 @@ class PrimeField:
         if e < 0:
             raise ValueError("exponent must be non-negative")
         p = self.p
-        _METER_LOCAL.meter.mults += len(a) * max(0, e.bit_length() + e.bit_count() - 2)
+        _METER_LOCAL.meter.mults += len(a) * _ladder_products(e)
         if not _np_safe(p, 1):
             if isinstance(a, np.ndarray) and a.dtype == np.uint64:
                 reduced = a % np.uint64(p)
@@ -715,12 +689,7 @@ class PrimeField:
         base = np.asarray(a, dtype=np.int64)
         if e == 0:
             return np.ones_like(base)
-        r = base
-        for bit in bin(e)[3:]:
-            r = r * r % p
-            if bit == "1":
-                r = r * base % p
-        return r
+        return _ladder(base, e, lambda x, y: x * y % p)
 
     # conversions and iteration ----------------------------------------------
 

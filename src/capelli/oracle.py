@@ -27,6 +27,7 @@ from .ff import (
     _ResidueRing,
     _divmod_raw,
     _gcd_raw,
+    _ladder_products,
     _np_safe,
     _powmod_raw,
     _spreads,
@@ -126,7 +127,7 @@ def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
                 chain = _doubling_chain(e, known)
                 known.update(k for k, _ in chain)
                 work += len(chain) * ((s - 2 - (-n // s)) * step + n * n)
-            return work + (p.bit_length() + p.bit_count() - 2) * step
+            return work + _ladder_products(p) * step
     else:
         m, t = K.degree, n - f[:n].count(K.zero)
         mul = m * m + (m - 1) * (m - K.modulus[:m].count(0))
@@ -138,7 +139,7 @@ def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
     prev = 0
     for e in checkpoints + [n]:
         qk = K.order ** (e - prev)
-        work += (qk.bit_length() + qk.bit_count() - 2) * step
+        work += _ladder_products(qk) * step
         prev = e
     return work
 
