@@ -269,3 +269,24 @@ def test_bench_speedup_present(capsys):
     report = json.loads(out)
     last = report["steps"][-1]
     assert int(last["criterion_mults"]) < int(last["oracle_mults"])
+
+
+def test_zero_root_evidence_report(capsys):
+    code, out, _ = run_cli(capsys, "test", "-p", "3", "--poly", "x", "-d", "2", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["evidence"] == {"kind": "zero-root", "dprime": "2"}
+    assert report["tests"] == []
+
+
+def test_bench_speedup_is_the_ratio_of_oracle_to_criterion_work(capsys):
+    code, out, _ = run_cli(
+        capsys, "bench", "-p", "5", "--start", "x^2+2", "--schedule", "2,3", "--json"
+    )
+    assert code == 1
+    steps = json.loads(out)["steps"]
+    got = [(s["verdict"], s["criterion_mults"], s["oracle_mults"], s["speedup"]) for s in steps]
+    assert got == [("irreducible", "3", "19", "6.333"), ("reducible", "16", "28", "1.750")]
+    for s in steps:
+        assert s["speedup"] == f"{int(s['oracle_mults']) / int(s['criterion_mults']):.3f}"
+
