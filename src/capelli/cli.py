@@ -1,7 +1,8 @@
 """Command-line surface: verdicts, tower generation, probabilities, benchmarks.
 
 Exit codes: 0 = irreducible outcome / successful query, 1 = reducible
-outcome or rejected tower step, 2 = usage or precondition error.
+outcome or rejected tower step, 2 = usage or precondition error, a work
+bound exceeded, or memory exhausted.
 
 JSON reports are byte-identical across runs for fixed inputs and seeds:
 they carry deterministic work counts (coefficient multiplications), never
@@ -36,6 +37,7 @@ from .errors import (
     PolyParseError,
     ReducibleInputError,
     TowerStepRejectedError,
+    WorkBoundExceededError,
 )
 from .ff import Poly, PrimeField, compose_power, count_mults
 from .oracle import DEFAULT_ENUMERATION_BOUND, DEFAULT_WORK_BOUND, rabin_test
@@ -96,6 +98,16 @@ def _work_bound(args) -> Optional[int]:
     return None if args.work_bound == 0 else args.work_bound
 
 
+def _compose_within_bound(b: Poly, d: int, args) -> Poly:
+    """b(x^d), refused before it is built when its degree exceeds the work bound."""
+    bound = _work_bound(args)
+    if bound is not None and b.degree * d > bound:
+        raise WorkBoundExceededError(
+            f"b(x^{d}) has degree {b.degree * d}, above the work bound {bound}"
+        )
+    return compose_power(b, d)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -121,7 +133,7 @@ def cmd_test(args) -> int:
     oracle_line = ""
     agrees = True
     if args.oracle:
-        composed = compose_power(b, args.d)
+        composed = _compose_within_bound(b, args.d, args)
         t1 = time.perf_counter()
         with count_mults() as oracle_work:
             oracle = rabin_test(composed, work_bound=_work_bound(args))
@@ -325,7 +337,7 @@ def cmd_bench(args) -> int:
         criterion_ms = (time.perf_counter() - t0) * 1000
         criterion_mults = criterion_work()
 
-        composed = compose_power(b, d)
+        composed = _compose_within_bound(b, d, args)
         t1 = time.perf_counter()
         with count_mults() as oracle_work:
             oracle = rabin_test(composed, work_bound=_work_bound(args))
@@ -481,6 +493,9 @@ def main(argv=None) -> int:
         return 2
     except (CapelliError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; a --work-bound refuses such sizes up front", file=sys.stderr)
         return 2
 
 

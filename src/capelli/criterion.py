@@ -57,6 +57,7 @@ from .errors import (
     OracleDisagreementError,
     ReducibleInputError,
     TowerStepRejectedError,
+    WorkBoundExceededError,
 )
 from .ff import Element, ExtensionField, Poly, PrimeField, compose_power
 from .intops import distinct_prime_factors, divisors, is_prime, primes_up_to
@@ -577,6 +578,11 @@ def grow_tower(
     b0 is verified irreducible with the oracle once; accepted steps trust
     the criterion chain unless ``paranoid=True``, which re-runs the oracle
     on every composition (``paranoid_work_bound=None`` lifts its budget).
+
+    ``work_bound`` (None: unbounded) bounds b0's oracle run and, as in
+    ``replay_certificate``, the degree: an accepted step that would compose
+    a degree above it raises WorkBoundExceededError before it is confirmed
+    or built, so every certificate returned replays under the same bound.
     """
     if (schedule is None) == (target_degree is None):
         raise ValueError("provide exactly one of schedule or target_degree")
@@ -592,16 +598,21 @@ def grow_tower(
             f"b0 is reducible over GF({p})", witness=check.witness
         )
 
-    def confirm(b: Poly, d: int) -> None:
-        if not paranoid:
-            return
-        composed = compose_power(b, d)
-        oracle = rabin_test(composed, work_bound=paranoid_work_bound)
-        if not oracle.irreducible:
-            raise OracleDisagreementError(
-                f"criterion accepted d={d} at degree {b.degree} but the oracle "
-                f"finds the composition reducible"
+    def compose(b: Poly, d: int) -> Poly:
+        if work_bound is not None and b.degree * d > work_bound:
+            raise WorkBoundExceededError(
+                f"step d={d} at degree {b.degree} composes degree {b.degree * d}, "
+                f"above the work bound {work_bound}"
             )
+        composed = compose_power(b, d)
+        if paranoid:
+            oracle = rabin_test(composed, work_bound=paranoid_work_bound)
+            if not oracle.irreducible:
+                raise OracleDisagreementError(
+                    f"criterion accepted d={d} at degree {b.degree} but the oracle "
+                    f"finds the composition reducible"
+                )
+        return composed
 
     b = b0
     steps: list[TowerStep] = []
@@ -618,9 +629,8 @@ def grow_tower(
                     d=d,
                     verdict=verdict,
                 )
-            confirm(b, d)
             steps.append(_step_from_verdict(d, verdict))
-            b = compose_power(b, d)
+            b = compose(b, d)
     else:
         if target_degree <= b0.degree:
             raise ValueError("target_degree must exceed deg(b0)")
@@ -628,9 +638,8 @@ def grow_tower(
             if len(steps) >= max_steps:
                 raise CapelliError(f"tower exceeded {max_steps} steps")
             d, verdict = _next_step(b, candidate_bound)
-            confirm(b, d)
             steps.append(_step_from_verdict(d, verdict))
-            b = compose_power(b, d)
+            b = compose(b, d)
     return TowerCertificate(p=p, base=b0.coeffs, steps=tuple(steps), final_degree=b.degree)
 
 

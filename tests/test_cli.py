@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 from decimal import Decimal
+from unittest.mock import patch
 
 import capelli
 from capelli import TowerCertificate, replay_certificate
@@ -289,4 +290,49 @@ def test_bench_speedup_is_the_ratio_of_oracle_to_criterion_work(capsys):
     assert got == [("irreducible", "3", "19", "6.333"), ("reducible", "16", "28", "1.750")]
     for s in steps:
         assert s["speedup"] == f"{int(s['oracle_mults']) / int(s['criterion_mults']):.3f}"
+
+
+# --- sizes beyond the work bound ------------------------------------------------
+
+HUGE_D = "3486784401"  # 3^20: x^2+x+1 over F_2 passes, and b(x^d) has 7 * 10^9 coefficients
+
+
+def test_generate_refuses_a_step_above_the_work_bound(capsys):
+    with patch("capelli.criterion.compose_power", side_effect=AssertionError):
+        code, _, err = run_cli(
+            capsys, "generate", "-p", "2", "--start", "x^2+x+1", "--schedule", HUGE_D, "--json"
+        )
+    assert code == 2 and "work bound" in err
+    code, _, err = run_cli(
+        capsys, "generate", "-p", "2", "--start", "x^2+x+1",
+        "--schedule", "3,3,3,3,3,3", "--work-bound", "1000",
+    )
+    assert code == 2
+    assert err == "error: step d=3 at degree 486 composes degree 1458, above the work bound 1000\n"
+
+
+def test_test_and_bench_refuse_to_compose_above_the_work_bound(capsys):
+    with patch("capelli.cli.compose_power", side_effect=AssertionError):
+        for argv in (
+            ["test", "-p", "2", "--poly", "x^2+x+1", "-d", HUGE_D, "--oracle", "--json"],
+            ["test", "-p", "2", "--poly", "x^2+x+1", "-d", "81", "--oracle", "--work-bound", "100"],
+            ["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", HUGE_D],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and "above the work bound" in err, argv
+
+
+def test_memory_error_exits_2_with_one_line(capsys):
+    for target, argv in (
+        ("capelli.cli.compose_power",
+         ["test", "-p", "2", "--poly", "x^2+x+1", "-d", "3", "--oracle"]),
+        ("capelli.cli.compose_power",
+         ["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "3"]),
+        ("capelli.criterion.compose_power",
+         ["generate", "-p", "2", "--start", "x^2+x+1", "--schedule", "3"]),
+    ):
+        with patch(target, side_effect=MemoryError):
+            code, _, err = run_cli(capsys, *argv, "--work-bound", "0")
+        assert code == 2, argv
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 

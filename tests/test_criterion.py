@@ -28,6 +28,7 @@ from capelli import (
     TowerCertificate,
     TowerStepRejectedError,
     Verdict,
+    WorkBoundExceededError,
     compose_power,
     count_mults,
     decide_b_xd,
@@ -571,6 +572,22 @@ def test_tower_generate_and_replay_work_pinned(p, base, how, degree, generate, r
     with count_mults() as work:
         assert replay_certificate(cert)
     assert work() == replay
+
+
+@pytest.mark.parametrize("bound", [100, 1458, 5000])
+def test_tower_grown_under_a_bound_replays_under_it(bound):
+    """A step composing a degree above the bound is refused before it is
+    confirmed or built, so what grow_tower returns replays under the bound."""
+    b0 = Poly(F2, [1, 1, 1])
+    fits = max(j for j in range(8) if 2 * 3**j <= bound)
+    cert = grow_tower(b0, [3] * fits, work_bound=bound, paranoid=True)
+    assert replay_certificate(cert, work_bound=bound)
+    for grow in (lambda: grow_tower(b0, [3] * (fits + 1), work_bound=bound, paranoid=True),
+                 lambda: grow_tower(b0, target_degree=10**6, work_bound=bound)):
+        with patch("capelli.criterion.compose_power", wraps=compose_power) as composed, \
+                pytest.raises(WorkBoundExceededError, match="above the work bound"):
+            grow()
+        assert max(c.args[0].degree * c.args[1] for c in composed.call_args_list) <= bound
 
 
 def test_certificate_replay_and_tampering():
