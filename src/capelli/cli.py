@@ -26,6 +26,7 @@ from .criterion import (
     Shortcut,
     Verdict,
     ZeroRootEvidence,
+    _compose_within,
     _next_step,
     _test_json,
     decide_b_xd,
@@ -37,9 +38,8 @@ from .errors import (
     PolyParseError,
     ReducibleInputError,
     TowerStepRejectedError,
-    WorkBoundExceededError,
 )
-from .ff import Poly, PrimeField, compose_power, count_mults
+from .ff import Poly, PrimeField, count_mults
 from .oracle import DEFAULT_ENUMERATION_BOUND, DEFAULT_WORK_BOUND, rabin_test
 from .polytext import parse_coeff_array, parse_poly, render_poly
 from .prob import Convention, exact_probability, exhaustive_census, monte_carlo_estimate, union_lower_bound
@@ -98,16 +98,6 @@ def _work_bound(args) -> Optional[int]:
     return None if args.work_bound == 0 else args.work_bound
 
 
-def _compose_within_bound(b: Poly, d: int, args) -> Poly:
-    """b(x^d), refused before it is built when its degree exceeds the work bound."""
-    bound = _work_bound(args)
-    if bound is not None and b.degree * d > bound:
-        raise WorkBoundExceededError(
-            f"b(x^{d}) has degree {b.degree * d}, above the work bound {bound}"
-        )
-    return compose_power(b, d)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -133,7 +123,7 @@ def cmd_test(args) -> int:
     oracle_line = ""
     agrees = True
     if args.oracle:
-        composed = _compose_within_bound(b, args.d, args)
+        composed = _compose_within(b, args.d, _work_bound(args))
         t1 = time.perf_counter()
         with count_mults() as oracle_work:
             oracle = rabin_test(composed, work_bound=_work_bound(args))
@@ -337,7 +327,7 @@ def cmd_bench(args) -> int:
         criterion_ms = (time.perf_counter() - t0) * 1000
         criterion_mults = criterion_work()
 
-        composed = _compose_within_bound(b, d, args)
+        composed = _compose_within(b, d, _work_bound(args))
         t1 = time.perf_counter()
         with count_mults() as oracle_work:
             oracle = rabin_test(composed, work_bound=_work_bound(args))

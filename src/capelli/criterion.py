@@ -557,6 +557,16 @@ def _next_step(b: Poly, candidate_bound: int) -> tuple[int, Verdict]:
     )
 
 
+def _compose_within(b: Poly, d: int, work_bound: Optional[int]) -> Poly:
+    """b(x^d), refused before it is built when its degree exceeds work_bound."""
+    if work_bound is not None and b.degree * d > work_bound:
+        raise WorkBoundExceededError(
+            f"b(x^{d}) for b of degree {b.degree} has degree {b.degree * d}, "
+            f"above the work bound {work_bound}"
+        )
+    return compose_power(b, d)
+
+
 def grow_tower(
     b0: Poly,
     schedule: Optional[Sequence[int]] = None,
@@ -599,12 +609,7 @@ def grow_tower(
         )
 
     def compose(b: Poly, d: int) -> Poly:
-        if work_bound is not None and b.degree * d > work_bound:
-            raise WorkBoundExceededError(
-                f"step d={d} at degree {b.degree} composes degree {b.degree * d}, "
-                f"above the work bound {work_bound}"
-            )
-        composed = compose_power(b, d)
+        composed = _compose_within(b, d, work_bound)
         if paranoid:
             oracle = rabin_test(composed, work_bound=paranoid_work_bound)
             if not oracle.irreducible:
