@@ -467,7 +467,7 @@ class _ResidueRing:
             return out
         return _ladder(a, e, self.mul_many)
 
-    # kernels: values as lists or as int64 arrays, after the backend -----------
+    # products and Frobenius steps, on the backend's lists or int64 arrays -----
 
     def _mul(self, a, b):
         """a*b mod f for reduced a and b: the product kernel, then the fold."""
