@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON stability, certificates, reports."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -7,6 +8,8 @@ import subprocess
 import sys
 from decimal import Decimal
 from unittest.mock import patch
+
+import pytest
 
 import capelli
 from capelli import TowerCertificate, replay_certificate
@@ -174,6 +177,27 @@ def test_generate_writes_replayable_certificate(tmp_path, capsys):
     assert on_disk == report["certificate"]
     cert = TowerCertificate.from_json_dict(on_disk)
     assert replay_certificate(cert)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["-p", "2", "--start", "x^2+x+1", "--schedule", "3,3,3,3,3,3,3"],
+         "d3415306bd8f217b7604fdf50bcdc76fe5e709e7394a6cba977e4f2b1e9467a8"),
+        (["-p", str(2**61 - 1), "--start", "x^2+2", "--target-degree", "7442"],
+         "02577c12f46dada06f4aae0b17ac3a953112bfd21c7dfd82a82026661daeb878"),
+        (["-p", "13", "--target-degree", "5000"],
+         "cd871a086490585db6e4d265e2fc775e278dbb159a197b2bdf8985417295c45d"),
+    ],
+    ids=["tower-p2", "tower-wordp", "p13-auto"],
+)
+def test_generated_certificates_are_pinned(tmp_path, capsys, argv, digest):
+    """The bytes `generate --cert-out` writes for the benchmark's two towers
+    and an auto-started tower at p = 13, by SHA-256."""
+    cert_path = tmp_path / "tower.json"
+    code, _, _ = run_cli(capsys, "generate", *argv, "--cert-out", str(cert_path))
+    assert code == 0
+    assert hashlib.sha256(cert_path.read_bytes()).hexdigest() == digest
 
 
 def test_generate_auto_start(capsys):
