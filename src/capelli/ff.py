@@ -122,7 +122,7 @@ def count_mults():
     lengths; over F_p it counts N, however the values are blocked. Outside
     the ring, a polynomial product counts la*lb, a division by a divisor of
     lb coefficients counts lb per quotient coefficient, and a power in F_p
-    counts 3/2 per exponent bit. Trial division of f of degree n counts,
+    counts the binary ladder's products, ``_ladder_products(e)``. Trial division of f of degree n counts,
     for each candidate divisor it tries up to and including the witness,
     that division: (n - j + 1)(j + 1) for a monic candidate of degree j
     over F_p, on the batched route as on the per-candidate one. Inside the
@@ -655,7 +655,7 @@ class PrimeField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        _METER_LOCAL.meter.mults += (e.bit_length() * 3) // 2
+        _METER_LOCAL.meter.mults += _ladder_products(e)
         return pow(a, e, self.p)
 
     def pow_many(self, a: Sequence[int], e: int) -> np.ndarray:

@@ -311,7 +311,7 @@ def test_bench_speedup_is_the_ratio_of_oracle_to_criterion_work(capsys):
     assert code == 1
     steps = json.loads(out)["steps"]
     got = [(s["verdict"], s["criterion_mults"], s["oracle_mults"], s["speedup"]) for s in steps]
-    assert got == [("irreducible", "3", "19", "6.333"), ("reducible", "16", "28", "1.750")]
+    assert got == [("irreducible", "1", "19", "19.000"), ("reducible", "16", "28", "1.750")]
     for s in steps:
         assert s["speedup"] == f"{int(s['oracle_mults']) / int(s['criterion_mults']):.3f}"
 
