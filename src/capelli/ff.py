@@ -30,17 +30,19 @@ it: residues; an (N, n) int64 batch of residues, folded by the same terms
 about 1.5 * 10^9, in Montgomery form on uint64 arrays; polynomials over an
 extension field. It reads the exponent in a radix r and spends, per digit,
 one step a -> a^r and one product by a^digit if the digit is nonzero. Over
-F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius step) is a spread of
-the coefficients to stride p and a fold by f, with no products. Only
-``_ResidueRing.pow`` passes r = p with that step, when one spread counts
-no more in the work model than the products the binary ladder spends on
-one p-th power (``_ladder_products``) and stays below n^2 + 2n
-coefficients (``_spreads``). Every other power, word-size p included,
-takes r = 2 and squares.
+F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius step) takes no
+products. For a binomial f = x^n - c it moves and scales each coefficient,
+x^(ip) = c^floor(ip/n) x^(ip mod n), in O(n) at any p; for other f it is
+a spread of the coefficients to stride p and a fold by f. Only
+``_ResidueRing.pow`` passes r = p with that step, when the step is cheap
+(``_spreads``): f is a binomial, or one spread counts no more in the work
+model than the products the binary ladder spends on one p-th power
+(``_ladder_products``) and stays below n^2 + 2n coefficients. Every other
+power takes r = 2 and squares.
 
 The ring also composes, g(h) mod f, by Brent and Kung's baby steps and
-giant steps in about 2 sqrt(n) products (``compose``). Where a ring does
-not spread, the Rabin oracle takes x^p once on the ladder and reaches each
+giant steps in about 2 sqrt(n) products (``compose``). Where a ring's
+Frobenius step is not cheap, the Rabin oracle takes x^p once on the ladder and reaches each
 x^(p^k) by compositions, since x^(p^(i+j)) = x^(p^i) composed with
 x^(p^j) mod f (von zur Gathen and Shoup, 1992).
 
@@ -110,24 +112,27 @@ def count_mults():
     x^n - f has t nonzero coefficients, a product of trimmed operands with
     la and lb coefficients counts la*lb + max(0, la + lb - 1 - n)*t: one
     multiplication per coefficient pair, and one per quotient coefficient
-    and low term to reduce. A Frobenius step a -> a^p spreads la
-    coefficients over L = (la - 1)*p + 1 and counts only its fold,
-    max(0, L - n)*t, with no products; ``_spreads`` decides which rings
-    take such steps. A composition g(h) mod f (``compose``) counts its
+    and low term to reduce. A Frobenius step a -> a^p takes no products.
+    Modulo a binomial x^n - c it moves la coefficients and counts la*t,
+    one scaling each when c != 0 and nothing for x^n. Modulo any other f it
+    spreads la coefficients over L = (la - 1)*p + 1 and counts only its
+    fold, max(0, L - n)*t. ``_spreads`` decides which rings take such
+    steps. A composition g(h) mod f (``compose``) counts its
     s + ceil(len g / s) - 2 products as above, and for each nonzero
     coefficient of g whose index i is not a multiple of s the length of
     the baby step h^(i mod s) it scales. The count is the same on both
     backends, lists and numpy. A batched product of N values
-    (``pow_many``) counts N products of full-length rows, N*(n^2 + (n - 1)*t), whatever the values' actual
-    lengths; over F_p it counts N, however the values are blocked. Outside
-    the ring, a polynomial product counts la*lb, a division by a divisor of
-    lb coefficients counts lb per quotient coefficient, and a power in F_p
-    counts the binary ladder's products, ``_ladder_products(e)``. Trial division of f of degree n counts,
-    for each candidate divisor it tries up to and including the witness,
-    that division: (n - j + 1)(j + 1) for a monic candidate of degree j
-    over F_p, on the batched route as on the per-candidate one. Inside the
-    block the reading is live; once the block exits it freezes, so work
-    done afterwards never leaks into the figure.
+    (``pow_many``) counts N products of full-length rows,
+    N*(n^2 + (n - 1)*t), whatever the values' actual lengths; over F_p it
+    counts N, however the values are blocked. Outside the ring, a
+    polynomial product counts la*lb, a division by a divisor of lb
+    coefficients counts lb per quotient coefficient, and a power a^e in F_p
+    counts the binary ladder's products, ``_ladder_products(e)``. Trial
+    division of f of degree n counts, for each candidate divisor it tries
+    up to and including the witness, that division: (n - j + 1)(j + 1) for
+    a monic candidate of degree j over F_p, on the batched route as on the
+    per-candidate one. Inside the block the reading is live; once the block
+    exits it freezes, so work done afterwards never leaks into the figure.
     """
     m = _METER_LOCAL.meter
     start = m.mults
@@ -255,21 +260,25 @@ def _trim_np(r: np.ndarray) -> np.ndarray:
     return r[: nz[-1] + 1] if nz.size else r[:0]
 
 
-def _spreads(p: int, n: int, t: int) -> bool:
-    """Whether the ring's ladder runs on base-p digits.
+def _spreads(p: int, n: int, t: int, binomial: bool) -> bool:
+    """Whether a Frobenius step is cheap, so the ring's ladder runs on
+    base-p digits.
 
-    It does when one Frobenius spread of a full residue counts no more than
-    the binary ladder's bits(p) + popcount(p) - 2 products for one p-th
-    power, n^2 + (n - 1)t each; t is the number of nonzero low terms of f.
-    The spread is charged (p - 1)(n - 1) max(t, 1): its fold, and for t = 0
-    (f = x^n, where nothing folds) the length it writes. Its (n - 1)p + 1
+    For a binomial f = x^n - c, c = 0 included, it always is: the step
+    moves and scales each coefficient (``_ResidueRing._frob``) and counts
+    len(a)*t <= n. Otherwise the step is a spread to stride p, and
+    it is cheap when one spread of a full residue counts no more than the
+    binary ladder's bits(p) + popcount(p) - 2 products for one p-th power,
+    n^2 + (n - 1)t each; t is the number of nonzero low terms of f. The
+    spread is charged its fold, (p - 1)(n - 1)t. Its (n - 1)p + 1
     coefficients must also stay below n^2 + 2n. So word-size p keeps the
-    binary ladder for every f, and a spread that counts no more than one
-    squaring is always taken. For p = 2 this is that comparison alone.
+    binary ladder for every f but a binomial, and a spread that counts no
+    more than one squaring is always taken. For p = 2 this is that
+    comparison alone.
     """
     spread = (p - 1) * (n - 1)
-    squarings = _ladder_products(p)
-    return spread < n * n + n and spread * max(t, 1) <= squarings * (n * n + (n - 1) * t)
+    return binomial or (
+        spread < n * n + n and spread * t <= _ladder_products(p) * (n * n + (n - 1) * t))
 
 
 def _base_digits(e: int, p: int) -> Sequence[int]:
@@ -335,12 +344,14 @@ class _ResidueRing:
     time from the top, t adds each; numpy folds the whole high part at once
     when low has few terms. Building a ring is O(n). ``_mul`` and ``_frob``
     meter the same work on either backend (see ``count_mults``). The ladder
-    in ``pow`` follows from (p, n, t) by ``_spreads``.
+    in ``pow`` follows from (p, n, t) and whether f is a binomial x^n - c,
+    by ``_spreads``; a binomial ring builds its Frobenius map on its first
+    Frobenius step, so rings that never take one do not pay for it.
     """
 
     __slots__ = (
-        "p", "n", "terms", "backend", "spreads",
-        "_sparse", "_maxnz", "_low_np", "_product", "_fold",
+        "p", "n", "terms", "backend", "binomial", "spreads",
+        "_sparse", "_maxnz", "_low_np", "_product", "_fold", "_map",
     )
 
     def __init__(self, p: int, f: Sequence[int]):
@@ -353,7 +364,9 @@ class _ResidueRing:
         self.n = n
         low = [(-c) % p for c in f[:n]]
         self.terms = tuple((j, c) for j, c in enumerate(low) if c)
-        self.spreads = _spreads(p, n, len(self.terms))
+        self.binomial = not any(low[1:])
+        self.spreads = _spreads(p, n, len(self.terms), self.binomial)
+        self._map = None  # the binomial Frobenius, built by its first step
         self._product, self._fold = _product_lists, self._reduce_lists
         if n > _LISTS_MAX_DEG and _np_safe(p, n + 1):
             self.backend = "numpy"
@@ -478,6 +491,44 @@ class _ResidueRing:
         return self._fold(self._product(a, b))
 
     def _frob(self, a):
+        """a^p mod f for reduced a. For a binomial f = x^n - c, coefficient i
+        moves to ip mod n, scaled by c^floor(ip/n), and adds to what is
+        there (several i meet when p | n); counts len(a)*t. Otherwise
+        ``_spread``."""
+        if not self.binomial:
+            return self._spread(a)
+        if self._map is None:
+            self._map = self._binomial_map()
+        dest, scale = self._map
+        la, p = len(a), self.p
+        _METER_LOCAL.meter.mults += la * len(self.terms)
+        if self.backend == "numpy":
+            out = np.zeros(self.n, dtype=np.int64)
+            np.add.at(out, dest[:la], a * scale[:la] % p)
+            return _trim_np(out if self.n % p else out % p)
+        out = [0] * self.n
+        for i, ai in enumerate(a):
+            out[dest[i]] += ai * scale[i]
+        return _strip([v % p for v in out], 0)
+
+    def _binomial_map(self):
+        # dest[i] = ip mod n and scale[i] = c^floor(ip/n), by one product per
+        # index: from i to i + 1 the quotient grows by floor(p/n), or by one more
+        p, n = self.p, self.n
+        c = self.terms[0][1] if self.terms else 0
+        step, gain = divmod(p, n)
+        c_step = pow(c, step, p)
+        dest, scale = [0] * n, [1] * n
+        for i in range(1, n):
+            r, s = dest[i - 1] + gain, scale[i - 1] * c_step
+            if r >= n:
+                r, s = r - n, s * c
+            dest[i], scale[i] = r, s % p
+        if self.backend == "numpy":
+            return np.array(dest), np.array(scale, dtype=np.int64)
+        return dest, scale
+
+    def _spread(self, a):
         """a^p mod f for reduced a: a(x^p), spread to stride p, then the fold."""
         if not len(a):
             return a

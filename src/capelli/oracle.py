@@ -91,10 +91,11 @@ def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
     """An upper bound on the multiplications that rabin_test meters on f.
 
     Over F_p the powers x^(p^k) on the chain are charged what the residue
-    ring meters for them, with every operand at full length. A ring that
-    spreads (see ``ff._spreads``, which also bounds the spread) takes n
-    Frobenius steps in all, each folding (p - 1)(n - 1) coefficients by t
-    terms, and no products. Any other ring takes x^p on the binary ladder,
+    ring meters for them, with every operand at full length. A ring whose
+    Frobenius step is cheap (``ff._spreads``) takes n steps in all and no
+    products: for a binomial f = x^n - c each moves at most n coefficients
+    and counts at most n*t, and otherwise each folds (p - 1)(n - 1)
+    coefficients by t terms. Any other ring takes x^p on the binary ladder,
     a product of two full residues per square-and-multiply step, and then
     each composition of the doubling chain (``_doubling_chain``): Brent and
     Kung's s + ceil(n / s) - 2 products for s = ceil(sqrt(n)), which no
@@ -115,10 +116,10 @@ def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
     """
     n = len(f) - 1
     if isinstance(K, PrimeField):
-        p, t = K.p, n - f[:n].count(0)
+        p, t, binomial = K.p, n - f[:n].count(0), not any(f[1:n])
         work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
-        if n > 1 and _spreads(p, n, t):
-            return work + n * (p - 1) * (n - 1) * t
+        if n > 1 and _spreads(p, n, t, binomial):
+            return work + n * (n if binomial else (p - 1) * (n - 1)) * t
         step = n * n + (n - 1) * t
         if n > 1:
             s = isqrt(n - 1) + 1
@@ -150,8 +151,9 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
     f of degree n over F_q is irreducible iff x^(q^n) = x (mod f) and
     gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
     powers are computed once along an ascending chain: on the ladder, at
-    the cost of a single exponentiation to q^n, or over F_p where the ring
-    does not spread, by x^p and O(log n) compositions (``_frobenius_climb``).
+    the cost of a single exponentiation to q^n, or over F_p where a
+    Frobenius step is not cheap, by x^p and O(log n) compositions
+    (``_frobenius_climb``).
     """
     if f.is_zero:
         raise ValueError("rabin_test requires a nonzero polynomial")
@@ -189,8 +191,8 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
 def _frobenius_climb(K, fc: list, x_red: list):
     """A function e -> x^(q^e) mod f, to be called with ascending e.
 
-    Over F_p one residue ring serves the test. Where it does not spread,
-    x^p is taken once on its ladder and each x^(p^e) by compositions from
+    Over F_p one residue ring serves the test. Where its Frobenius step is
+    not cheap (``ff._spreads``), x^p is taken once on its ladder and each x^(p^e) by compositions from
     the powers known so far (``_doubling_chain``). Elsewhere, and over
     extension fields, each call climbs from the last power on the ladder,
     h -> h^(q^(e - prev)).

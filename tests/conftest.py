@@ -38,14 +38,17 @@ COMPOSE_PRIMES = [13, 65521, 2**31 - 1, 2**61 - 1]
 @st.composite
 def modulus_case(draw, max_n):
     """p from COMPOSE_PRIMES and a monic f over F_p of degree n <= max_n(p):
-    dense, sparse (x^n plus one to three low terms) or x^n itself."""
+    dense, sparse (x^n plus one to three low terms), a binomial x^n - c with
+    c in {0, 1, random}, or x^n itself."""
     p = draw(st.sampled_from(COMPOSE_PRIMES), label="p")
     n = draw(st.integers(1, max_n(p)), label="n")
-    shape = draw(st.sampled_from(["dense", "sparse", "power"]), label="shape")
+    shape = draw(st.sampled_from(["dense", "sparse", "binomial", "power"]), label="shape")
     if shape == "dense":
         return p, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
     f = [0] * n + [1]
     if shape == "sparse":
         for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
             f[j] = draw(st.integers(1, p - 1))
+    if shape == "binomial":
+        f[0] = -draw(st.sampled_from([0, 1]) | st.integers(0, p - 1), label="c") % p
     return p, f

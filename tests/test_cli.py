@@ -93,14 +93,14 @@ def test_json_report_golden(capsys):
 
 
 def test_oracle_confirms_a_word_size_tower_step_under_the_default_bound(capsys):
-    """x^122 + 2 over F_{2^61-1}: Rabin by compositions fits the default budget."""
+    """x^122 + 2 over F_{2^61-1}: Rabin by binomial Frobenius steps fits the default budget."""
     code, out, _ = run_cli(
         capsys, "test", "-p", str(2**61 - 1), "--poly", "x^2+2", "-d", "61", "--oracle", "--json"
     )
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "irreducible"
-    assert report["oracle"] == {"verdict": "irreducible", "agrees": True, "oracle_mults": "304724"}
+    assert report["oracle"] == {"verdict": "irreducible", "agrees": True, "oracle_mults": "738"}
 
 
 def test_prob_sample_report_golden_at_word_size_p(capsys):
@@ -311,7 +311,7 @@ def test_bench_speedup_is_the_ratio_of_oracle_to_criterion_work(capsys):
     assert code == 1
     steps = json.loads(out)["steps"]
     got = [(s["verdict"], s["criterion_mults"], s["oracle_mults"], s["speedup"]) for s in steps]
-    assert got == [("irreducible", "1", "19", "19.000"), ("reducible", "16", "28", "1.750")]
+    assert got == [("irreducible", "1", "19", "19.000"), ("reducible", "14", "16", "1.143")]
     for s in steps:
         assert s["speedup"] == f"{int(s['oracle_mults']) / int(s['criterion_mults']):.3f}"
 

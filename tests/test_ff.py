@@ -30,6 +30,7 @@ from capelli.ff import (
     _ResidueRing,
     _gen_divmod,
     _gen_mul,
+    _ladder,
     _np_safe,
     _spreads,
     _strip,
@@ -618,18 +619,62 @@ def test_frobenius_powers_of_x_take_no_products(p):
 
 @pytest.mark.parametrize("p", [65521, 2**31 - 1, 2**61 - 1])
 def test_word_size_p_keeps_the_binary_ladder(p):
+    """No spread to stride p, (n - 1)p + 1 coefficients long, is ever built:
+    trinomial and dense f square, binomials x^n - c (x^n included) take
+    the binomial Frobenius on the radix-p ladder."""
     rng = random.Random(p)
-    with patch.object(_ResidueRing, "_frob", side_effect=AssertionError):
+    with patch.object(_ResidueRing, "_spread", side_effect=AssertionError):
         for n in (2, 32, _LISTS_MAX_DEG + 1):
             trinomial = [1] + [0] * (n - 1) + [1]
             trinomial[n // 2] = 1
-            # x^n has nothing to fold, but its spread would still be (n - 1)p + 1 long
-            for f in (trinomial, [rng.randrange(p) for _ in range(n)] + [1], [0] * n + [1]):
+            dense = [rng.randrange(1, p) for _ in range(n)] + [1]
+            binomials = ([rng.randrange(1, p)] + [0] * (n - 1) + [1], [0] * n + [1])
+            for f in (trinomial, dense) + binomials:
                 ring = _ResidueRing(p, f)
-                assert not ring.spreads
+                assert ring.spreads == (f in binomials)
                 a = [rng.randrange(p) for _ in range(n - 1)] + [1]
                 for e in (p, p**2 + 1):
                     ring.pow(a, e)
+
+
+# binomials x^n - c: n on both sides of the lists/numpy crossover at every p, and
+# p | n, where several coefficients land on one slot: x^9 - c and x^66 - c over
+# F_3, x^66 - c over F_2, x^13 - c and x^78 - c over F_13
+BINOMIAL_CASES = [
+    (p, n) for p in (2, 3, 13, 65521, 2**31 - 1, 2**61 - 1)
+    for n in (2, 12, _LISTS_MAX_DEG, _LISTS_MAX_DEG + 1)
+] + [(3, 9), (3, 66), (2, 66), (13, 13), (13, 78)]
+
+
+@pytest.mark.parametrize("p, n", BINOMIAL_CASES)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_binomial_frobenius_matches_the_ladder_and_the_spread(p, n, data):
+    """On each backend whose int64 sums fit, the binomial Frobenius step
+    equals a^p by the binary ladder and, where it is short enough, the
+    spread to stride p and its fold; it counts len(a)*t. Up to n = 12 the
+    radix-p ladder's powers equal the binary ladder's too."""
+    c = data.draw(st.sampled_from([0, 1]) | st.integers(0, p - 1), label="c")
+    f = [-c % p] + [0] * (n - 1) + [1]
+    backends = ["lists", "numpy"] if _np_safe(p, n + 1) else ["lists"]
+    ring = _ring_on(data.draw(st.sampled_from(backends), label="backend"), p, f)
+    assert ring.binomial and ring.spreads
+    length = data.draw(st.sampled_from([0, 1, n // 2, n, n]), label="length")
+    a = _strip(data.draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length)), 0)
+
+    def native(v):
+        return np.asarray(v, dtype=np.int64) if ring.backend == "numpy" else v
+
+    with count_mults() as work:
+        frob = [int(v) for v in ring._frob(native(a))]
+    assert work() == len(a) * (1 if c else 0)
+    if a:
+        assert frob == [int(v) for v in _ladder(native(a), p, ring._mul)]
+    if (n - 1) * p + 1 <= 1 << 16:
+        assert frob == [int(v) for v in ring._spread(native(a))]
+    if n <= 12 and a:
+        e = data.draw(st.integers(1, p**3), label="e")
+        assert ring.pow(a, e) == [int(v) for v in _ladder(native(a), e, ring._mul)]
 
 
 # --- modular composition --------------------------------------------------------
@@ -694,32 +739,41 @@ WORD_PRIMES = [65521, 2**31 - 1, 2**61 - 1]
 @st.composite
 def _spread_case(draw, primes, max_n):
     """p, and a monic f of degree n <= max_n: x^n plus at most three low
-    terms, or dense."""
+    terms, a binomial x^n - c with c in {0, 1, random}, or dense."""
     p = draw(st.sampled_from(primes), label="p")
     n = draw(st.integers(2, max_n), label="n")
-    if draw(st.booleans()):
-        f = [0] * n + [1]
+    shape = draw(st.sampled_from(["sparse", "binomial", "dense"]), label="shape")
+    if shape == "dense":
+        return p, draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    f = [0] * n + [1]
+    if shape == "binomial":
+        f[0] = -draw(st.sampled_from([0, 1]) | st.integers(0, p - 1), label="c") % p
+    else:
         for j in draw(st.lists(st.integers(0, n - 1), max_size=3)):
             f[j] = draw(st.integers(1, p - 1))
-    else:
-        f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
     return p, f
 
 
 @given(case=_spread_case(SPREAD_PRIMES, 80))
 @settings(max_examples=200, deadline=None)
 def test_spread_rule_bounds_the_spread_and_spares_word_size_p(case):
+    """Every binomial takes Frobenius steps; any other f spreads to stride p
+    only below n^2 + 2n coefficients, so never at word-size p."""
     p, f = case
     n = len(f) - 1
     t = sum(1 for c in f[:n] if c)
+    binomial = not any(f[1:n])
     ring = _ResidueRing(p, f)
-    assert ring.spreads == _spreads(p, n, t)
-    if ring.spreads:
+    assert ring.binomial == binomial
+    assert ring.spreads == _spreads(p, n, t, binomial)
+    if binomial:
+        assert ring.spreads
+    elif ring.spreads:
         assert (n - 1) * p + 1 < n * n + 2 * n
     if p in WORD_PRIMES:
-        assert not ring.spreads
+        assert ring.spreads == binomial
     # a spread that counts no more than a single squaring is always taken
-    if (p - 1) * (n - 1) * max(t, 1) <= n * n + (n - 1) * t:
+    if (p - 1) * (n - 1) * t <= n * n + (n - 1) * t:
         assert ring.spreads
 
 

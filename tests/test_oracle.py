@@ -61,11 +61,14 @@ def test_rabin_work_bound():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1, 2**61 - 1])
 def test_rabin_estimate_covers_the_metered_work(p):
-    """A budget one below the metered work is refused up front."""
+    """A budget one below the metered work is refused up front, binomials
+    x^n - c and x^122 + 2 over F_{2^61-1} included."""
     rng = random.Random(p)
     K = PrimeField(p)
-    cases = []
+    cases = [[2] + [0] * 121 + [1]] if p == 2**61 - 1 else []
     for n in (1, 2, 3, 4, 6, 12, 33):
+        cases.append([rng.randrange(p)] + [0] * (n - 1) + [1])
+        cases.append([0] * n + [1])
         sparse = [0] * n + [1]
         sparse[0] = 1 + rng.randrange(p - 1)
         if n > 1:
@@ -116,9 +119,10 @@ def test_rabin_estimate_covers_the_metered_work_over_extension_fields(q):
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
 def test_rabin_rejects_a_power_of_x_over_word_size_p(p):
-    """x^2 has no low terms; the ladder must not spread it to stride p."""
+    """x^2 and x^33 are binomials x^n - 0: their Frobenius steps move
+    coefficients and never spread them to stride p."""
     K = PrimeField(p)
-    with patch.object(_ResidueRing, "_frob", side_effect=AssertionError):
+    with patch.object(_ResidueRing, "_spread", side_effect=AssertionError):
         assert not rabin_test(Poly(K, [0, 0, 1])).irreducible
         assert not rabin_test(Poly(K, [0] * 33 + [1])).irreducible
 
