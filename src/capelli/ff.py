@@ -42,9 +42,9 @@ power takes r = 2 and squares.
 
 The ring also composes, g(h) mod f, by Brent and Kung's baby steps and
 giant steps in about 2 sqrt(n) products (``compose``). Where a ring's
-Frobenius step is not cheap, the Rabin oracle takes x^p once on the ladder and reaches each
-x^(p^k) by compositions, since x^(p^(i+j)) = x^(p^i) composed with
-x^(p^j) mod f (von zur Gathen and Shoup, 1992).
+Frobenius step is not cheap, the Rabin oracle takes x^p once on the ladder
+and reaches each x^(p^k) by compositions, since x^(p^(i+j)) = x^(p^i)
+composed with x^(p^j) mod f (von zur Gathen and Shoup, 1992).
 
 A per-thread work meter tallies coefficient multiplications by a fixed
 model of the operand sizes (see ``count_mults``), never by what a backend
@@ -505,10 +505,11 @@ class _ResidueRing:
         if self.backend == "numpy":
             out = np.zeros(self.n, dtype=np.int64)
             np.add.at(out, dest[:la], a * scale[:la] % p)
+            # unless p | n, each slot took at most one value, already below p
             return _trim_np(out if self.n % p else out % p)
         out = [0] * self.n
-        for i, ai in enumerate(a):
-            out[dest[i]] += ai * scale[i]
+        for ai, d, s in zip(a, dest, scale):
+            out[d] += ai * s
         return _strip([v % p for v in out], 0)
 
     def _binomial_map(self):

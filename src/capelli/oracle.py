@@ -192,10 +192,10 @@ def _frobenius_climb(K, fc: list, x_red: list):
     """A function e -> x^(q^e) mod f, to be called with ascending e.
 
     Over F_p one residue ring serves the test. Where its Frobenius step is
-    not cheap (``ff._spreads``), x^p is taken once on its ladder and each x^(p^e) by compositions from
-    the powers known so far (``_doubling_chain``). Elsewhere, and over
-    extension fields, each call climbs from the last power on the ladder,
-    h -> h^(q^(e - prev)).
+    not cheap (``ff._spreads``), x^p is taken once on its ladder and each
+    x^(p^e) by compositions from the powers known so far
+    (``_doubling_chain``). Elsewhere, and over extension fields, each call
+    climbs from the last power on the ladder, h -> h^(q^(e - prev)).
     """
     ring = _ResidueRing(K.p, fc) if isinstance(K, PrimeField) else None
     if ring is not None and not ring.spreads:
