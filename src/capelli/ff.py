@@ -507,10 +507,15 @@ class _ResidueRing:
             np.add.at(out, dest[:la], a * scale[:la] % p)
             # unless p | n, each slot took at most one value, already below p
             return _trim_np(out if self.n % p else out % p)
-        out = [0] * self.n
+        # touch only the nonzero coefficients: powers of x are monomials
+        out, top = [0] * self.n, -1
         for ai, d, s in zip(a, dest, scale):
-            out[d] += ai * s
-        return _strip([v % p for v in out], 0)
+            if ai:
+                out[d] = (out[d] + ai * s) % p
+                if d > top:
+                    top = d
+        del out[top + 1 :]
+        return _strip(out, 0)
 
     def _binomial_map(self):
         # dest[i] = ip mod n and scale[i] = c^floor(ip/n), by one product per
