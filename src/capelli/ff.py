@@ -507,7 +507,11 @@ class _ResidueRing:
             np.add.at(out, dest[:la], a * scale[:la] % p)
             # unless p | n, each slot took at most one value, already below p
             return _trim_np(out if self.n % p else out % p)
-        # touch only the nonzero coefficients: powers of x are monomials
+        if a.count(0) == la - 1:
+            # a monomial, as is every power of x that Rabin climbs through
+            d, v = dest[la - 1], a[-1] * scale[la - 1] % p
+            return [0] * d + [v] if v else []
+        # touch only the nonzero coefficients
         out, top = [0] * self.n, -1
         for ai, d, s in zip(a, dest, scale):
             if ai:

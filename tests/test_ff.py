@@ -648,19 +648,23 @@ BINOMIAL_CASES = [
 
 @pytest.mark.parametrize("p, n", BINOMIAL_CASES)
 @given(data=st.data())
-@settings(max_examples=4, deadline=None)
+@settings(max_examples=6, deadline=None)
 def test_binomial_frobenius_matches_the_ladder_and_the_spread(p, n, data):
-    """On each backend whose int64 sums fit, the binomial Frobenius step
-    equals a^p by the binary ladder and, where it is short enough, the
-    spread to stride p and its fold; it counts len(a)*t. Up to n = 12 the
-    radix-p ladder's powers equal the binary ladder's too."""
+    """On each backend whose int64 sums fit, the binomial Frobenius step of a
+    residue or a scaled monomial equals a^p by the binary ladder and, where
+    it is short enough, the spread to stride p and its fold; it counts
+    len(a)*t. Up to n = 12 the radix-p ladder's powers equal the binary
+    ladder's too."""
     c = data.draw(st.sampled_from([0, 1]) | st.integers(0, p - 1), label="c")
     f = [-c % p] + [0] * (n - 1) + [1]
     backends = ["lists", "numpy"] if _np_safe(p, n + 1) else ["lists"]
     ring = _ring_on(data.draw(st.sampled_from(backends), label="backend"), p, f)
     assert ring.binomial and ring.spreads
-    length = data.draw(st.sampled_from([0, 1, n // 2, n, n]), label="length")
-    a = _strip(data.draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length)), 0)
+    coeff = st.integers(0, p - 1)
+    residue = st.sampled_from([0, 1, n // 2, n, n]).flatmap(
+        lambda k: st.lists(coeff, min_size=k, max_size=k))
+    monomial = st.tuples(st.integers(0, n - 1), coeff).map(lambda jv: [0] * jv[0] + [jv[1]])
+    a = _strip(data.draw(residue | monomial, label="a"), 0)
 
     def native(v):
         return np.asarray(v, dtype=np.int64) if ring.backend == "numpy" else v
