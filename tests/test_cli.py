@@ -14,6 +14,7 @@ import pytest
 import capelli
 from capelli import TowerCertificate, replay_certificate
 from capelli.cli import main
+from capelli.oracle import OracleVerdict
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -57,6 +58,16 @@ def test_exit_code_matrix(capsys):
     for argv, expected in cases:
         code, _, _ = run_cli(capsys, *argv)
         assert code == expected, (argv, code)
+
+
+def test_test_exits_2_when_criterion_and_oracle_disagree(capsys):
+    with patch("capelli.cli.rabin_test", return_value=OracleVerdict(False, "stub")):
+        code, out, err = run_cli(
+            capsys, "test", "-p", "2", "--poly", "x^2+x+1", "-d", "3", "--oracle", "--json"
+        )
+    assert code == 2
+    assert "criterion and oracle disagree" in err
+    assert json.loads(out)["oracle"]["agrees"] is False
 
 
 def test_coeffs_input(capsys):

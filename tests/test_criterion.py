@@ -20,6 +20,8 @@ from capelli import (
     ExtensionField,
     FourthPowerTest,
     NoViableStepError,
+    OracleDisagreementError,
+    OracleVerdict,
     Poly,
     PrimeField,
     Reason,
@@ -569,6 +571,19 @@ def test_tower_paranoid_mode():
     assert cert.final_degree == 18
 
 
+@pytest.mark.parametrize("how", [{"schedule": [3]}, {"target_degree": 6}])
+def test_tower_paranoid_mode_raises_when_the_oracle_disagrees(how):
+    b0 = Poly(F2, [1, 1, 1])
+
+    def oracle(f, **kwargs):
+        # b0 passes; every composition is called reducible
+        return rabin_test(f, **kwargs) if f == b0 else OracleVerdict(False, "stub")
+
+    with patch("capelli.criterion.rabin_test", side_effect=oracle), \
+            pytest.raises(OracleDisagreementError, match="d=3 at degree 2"):
+        grow_tower(b0, paranoid=True, **how)
+
+
 @pytest.mark.parametrize(
     "p, base, how, degree, generate, replay",
     [
@@ -676,6 +691,30 @@ def test_certificate_replay_refuses_each_tampered_test(mutation):
 def test_certificate_replay_accepts_a_trivial_step_over_b_equal_to_x():
     # alpha = 0 here, which only the d = 1 step may carry
     assert replay_certificate(grow_tower(Poly(F2, [0, 1]), [1]))
+
+
+def _consistent_one_step(cert, d):
+    """cert's first step with d replaced, and the final degree to match."""
+    return replace(cert, steps=(replace(cert.steps[0], d=d),),
+                   final_degree=len(cert.base) * d - d)
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        # d = 1 with the residue test recorded for d = 3
+        _consistent_one_step(grow_tower(Poly(F2, [1, 1, 1]), [3]), 1),
+        # whole-field shortcuts over F_4: 2 | d, and 5 does not divide 4 - 1
+        _consistent_one_step(grow_tower(Poly(F2, [1, 1, 1]), [3]), 2),
+        _consistent_one_step(grow_tower(Poly(F2, [1, 1, 1]), [3]), 5),
+        # b = x over F_5, so alpha = 0
+        _consistent_one_step(grow_tower(Poly(F5, [0, 1]), [1]), 2),
+    ],
+    ids=["d-one-with-a-test", "char-divides-d", "prime-divisor-coprime", "zero-root"],
+)
+def test_certificate_replay_refuses_a_consistent_document_the_criterion_rejects(cert):
+    with pytest.raises(CertificateReplayError, match="step 0"):
+        replay_certificate(cert)
 
 
 def test_certificate_replay_rejects_non_prime_p():
