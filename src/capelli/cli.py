@@ -185,7 +185,6 @@ def cmd_generate(args) -> int:
         candidate_bound=args.candidate_bound,
         paranoid=args.paranoid,
         work_bound=_work_bound(args),
-        paranoid_work_bound=None,
     )
     t0 = time.perf_counter()
     with count_mults() as work:

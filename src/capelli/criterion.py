@@ -51,7 +51,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    CapelliError,
     CertificateReplayError,
     NoViableStepError,
     OracleDisagreementError,
@@ -382,25 +381,30 @@ def decide_b_xd(
         raise ValueError("b must be a polynomial over a prime field")
     if not b.is_monic:
         raise ValueError("b must be monic")
-    m = b.degree
-    if m < 1:
+    if b.degree < 1:
         raise ValueError("b must have degree >= 1")
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
-    K = b.field
     if not trusted:
         check = rabin_test(b, work_bound=work_bound)
         if not check.irreducible:
             raise ReducibleInputError(
-                f"b is reducible over GF({K.p}); the reduction requires irreducible b",
+                f"b is reducible over GF({b.field.p}); the reduction requires irreducible b",
                 witness=check.witness,
             )
+    return _decide_step(b, d, descent=True)
+
+
+def _decide_step(b: Poly, d: int, descent: bool) -> Verdict:
+    """The verdict on b(x^d) for irreducible monic b and d >= 1: the degree-one
+    and whole-field shortcuts, the zero root, then the residue tests on a root
+    of b, with norm descent or without it as replay needs."""
     if d == 1:
         return Verdict(True, Reason.DEGREE_ONE)
-    shortcut = reducibility_shortcuts(K.p, m, d)
+    shortcut = reducibility_shortcuts(b.field.p, b.degree, d)
     if shortcut is not None:
         return Verdict(False, shortcut.reason, evidence=shortcut)
-    alpha = _root(b, descent=True)
+    alpha = _root(b, descent)
     if alpha is None:
         # b = x, so b(x^d) = x^d
         smallest = distinct_prime_factors(d)[0]
@@ -573,10 +577,8 @@ def grow_tower(
     *,
     target_degree: Optional[int] = None,
     candidate_bound: int = DEFAULT_CANDIDATE_BOUND,
-    max_steps: int = 64,
     paranoid: bool = False,
     work_bound: Optional[int] = DEFAULT_WORK_BOUND,
-    paranoid_work_bound: Optional[int] = None,
 ) -> TowerCertificate:
     """Iterate b <- b(x^d), accepting steps certified by the criterion.
 
@@ -586,8 +588,8 @@ def grow_tower(
     smallest first; growing stops once the degree reaches the target.
 
     b0 is verified irreducible with the oracle once; accepted steps trust
-    the criterion chain unless ``paranoid=True``, which re-runs the oracle
-    on every composition (``paranoid_work_bound=None`` lifts its budget).
+    the criterion chain unless ``paranoid=True``, which re-runs the oracle,
+    with no work bound, on every composition.
 
     ``work_bound`` (None: unbounded) bounds b0's oracle run and, as in
     ``replay_certificate``, the degree: an accepted step that would compose
@@ -600,32 +602,27 @@ def grow_tower(
         raise ValueError("b0 must be a polynomial over a prime field")
     if not b0.is_monic or b0.degree < 1:
         raise ValueError("b0 must be monic of degree >= 1")
-    K = b0.field
-    p = K.p
+    p = b0.field.p
     check = rabin_test(b0, work_bound=work_bound)
     if not check.irreducible:
         raise ReducibleInputError(
             f"b0 is reducible over GF({p})", witness=check.witness
         )
-
-    def compose(b: Poly, d: int) -> Poly:
-        composed = _compose_within(b, d, work_bound)
-        if paranoid:
-            oracle = rabin_test(composed, work_bound=paranoid_work_bound)
-            if not oracle.irreducible:
-                raise OracleDisagreementError(
-                    f"criterion accepted d={d} at degree {b.degree} but the oracle "
-                    f"finds the composition reducible"
-                )
-        return composed
-
-    b = b0
-    steps: list[TowerStep] = []
     if schedule is not None:
         schedule = [int(d) for d in schedule]
         if not schedule:
             raise ValueError("schedule must be nonempty")
-        for i, d in enumerate(schedule):
+    elif target_degree <= b0.degree:
+        raise ValueError("target_degree must exceed deg(b0)")
+
+    b = b0
+    steps: list[TowerStep] = []
+    while b.degree < target_degree if schedule is None else len(steps) < len(schedule):
+        if schedule is None:
+            d, verdict = _next_step(b, candidate_bound)
+        else:
+            i = len(steps)
+            d = schedule[i]
             verdict = decide_b_xd(b, d, trusted=True)
             if not verdict.irreducible:
                 raise TowerStepRejectedError(
@@ -634,25 +631,19 @@ def grow_tower(
                     d=d,
                     verdict=verdict,
                 )
-            steps.append(_step_from_verdict(d, verdict))
-            b = compose(b, d)
-    else:
-        if target_degree <= b0.degree:
-            raise ValueError("target_degree must exceed deg(b0)")
-        while b.degree < target_degree:
-            if len(steps) >= max_steps:
-                raise CapelliError(f"tower exceeded {max_steps} steps")
-            d, verdict = _next_step(b, candidate_bound)
-            steps.append(_step_from_verdict(d, verdict))
-            b = compose(b, d)
+        steps.append(_step_from_verdict(d, verdict))
+        composed = _compose_within(b, d, work_bound)
+        if paranoid and not rabin_test(composed, work_bound=None).irreducible:
+            raise OracleDisagreementError(
+                f"criterion accepted d={d} at degree {b.degree} but the oracle "
+                f"finds the composition reducible"
+            )
+        b = composed
     return TowerCertificate(p=p, base=b0.coeffs, steps=tuple(steps), final_degree=b.degree)
 
 
 def replay_certificate(
-    cert: TowerCertificate,
-    *,
-    verify_base: bool = True,
-    work_bound: Optional[int] = DEFAULT_WORK_BOUND,
+    cert: TowerCertificate, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND
 ) -> bool:
     """Decide every step of a certificate again; raise on any discrepancy.
 
@@ -666,12 +657,12 @@ def replay_certificate(
     ``CertificateReplayError``.
     """
     try:
-        return _replay(cert, verify_base, work_bound)
+        return _replay(cert, work_bound)
     except (OverflowError, MemoryError) as exc:
         raise CertificateReplayError(f"certificate too large to replay: {exc!r}") from exc
 
 
-def _replay(cert: TowerCertificate, verify_base: bool, work_bound: Optional[int]) -> bool:
+def _replay(cert: TowerCertificate, work_bound: Optional[int]) -> bool:
     # plain-integer checks first, so no field is built from a bad document
     p = cert.p
     if not 2 <= p < 1 << 64 or not is_prime(p):
@@ -690,31 +681,17 @@ def _replay(cert: TowerCertificate, verify_base: bool, work_bound: Optional[int]
     b = Poly(K, cert.base)
     if b.degree < 1 or not b.is_monic:
         raise CertificateReplayError("certificate base must be monic of degree >= 1")
-    if verify_base:
-        check = rabin_test(b, work_bound=work_bound)
-        if not check.irreducible:
-            raise CertificateReplayError("certificate base polynomial is reducible")
+    if not rabin_test(b, work_bound=work_bound).irreducible:
+        raise CertificateReplayError("certificate base polynomial is reducible")
     for i, step in enumerate(cert.steps):
         d = step.d
-        m = b.degree
         if d < 1:
             raise CertificateReplayError(f"step {i}: d must be >= 1, got {d}")
-        if d == 1:
-            # trivial step: nothing to test, composition unchanged
-            if step.prime_tests or step.fourth_power is not None:
-                raise CertificateReplayError(f"step {i}: d = 1 admits no residue tests")
-            continue
-        if reducibility_shortcuts(p, m, d) is not None:
-            raise CertificateReplayError(
-                f"step {i}: a whole-field shortcut proves d={d} reducible at degree {m}"
-            )
-        alpha = _root(b, descent=False)
-        if alpha is None:
-            raise CertificateReplayError(f"step {i}: base has root 0, never certifiable")
-        verdict = decide_xd_minus_alpha(alpha, d)
+        verdict = _decide_step(b, d, descent=False)
         if not verdict.irreducible:
             raise CertificateReplayError(
-                f"step {i}: the criterion rejects d={d} at degree {m} ({verdict.reason.value})"
+                f"step {i}: the criterion rejects d={d} at degree {b.degree} "
+                f"({verdict.reason.value})"
             )
         if _step_from_verdict(d, verdict) != step:
             raise CertificateReplayError(

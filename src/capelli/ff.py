@@ -57,7 +57,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from math import isqrt
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -774,13 +774,6 @@ class PrimeField:
     def to_index(self, a: int) -> int:
         return a
 
-    def elements(self) -> Iterator["Element"]:
-        for i in range(self.p):
-            yield Element(self, i)
-
-    def random_element(self, rng) -> "Element":
-        return Element(self, rng.randrange(self.order))
-
     def __call__(self, value) -> "Element":
         return Element(self, self.coerce(value))
 
@@ -959,13 +952,6 @@ class ExtensionField:
         for c in reversed(a):
             out = out * self.p + c
         return out
-
-    def elements(self) -> Iterator["Element"]:
-        for i in range(self.order):
-            yield Element(self, self.from_index(i))
-
-    def random_element(self, rng) -> "Element":
-        return Element(self, self.from_index(rng.randrange(self.order)))
 
     def __call__(self, value) -> "Element":
         return Element(self, self.coerce(value))

@@ -146,7 +146,6 @@ def exhaustive_census(
     *,
     seed: int = 0,
     oracle_fraction: float = 0.1,
-    oracle_cap: Optional[int] = None,
     bound: int = DEFAULT_ENUMERATION_BOUND,
     work_bound: Optional[int] = DEFAULT_WORK_BOUND,
 ) -> CensusResult:
@@ -154,11 +153,11 @@ def exhaustive_census(
 
     For k > 1 the field is built on the first monic irreducible of degree k
     in enumeration order. The count is that of ``decide_many``'s mask. A
-    random subsample (fraction ``oracle_fraction`` of the units, optionally
-    capped at ``oracle_cap``) compares three answers for each sampled alpha:
-    the mask entry, ``decide_xd_minus_alpha`` and the Rabin oracle on the
-    literal polynomial x^d - alpha (under ``work_bound``); any disagreement
-    raises. Set ``oracle_fraction=0`` to skip the cross-check in bulk sweeps.
+    random subsample, a fraction ``oracle_fraction`` of the units, compares
+    three answers for each sampled alpha: the mask entry,
+    ``decide_xd_minus_alpha`` and the Rabin oracle on the literal polynomial
+    x^d - alpha (under ``work_bound``); any disagreement raises. Set
+    ``oracle_fraction=0`` to skip the cross-check in bulk sweeps.
     """
     _validate(p, k, d)
     convention = Convention(convention)
@@ -172,10 +171,7 @@ def exhaustive_census(
     mask = decide_many(field, d, indices if k == 1 else field.from_indices(indices))
     count = int(mask.sum())
     if oracle_fraction > 0:
-        samples = math.ceil(oracle_fraction * (q - 1))
-        if oracle_cap is not None:
-            samples = min(samples, oracle_cap)
-        samples = min(samples, q - 1)
+        samples = min(math.ceil(oracle_fraction * (q - 1)), q - 1)
         rng = random.Random(seed)
         zero, one = field.zero, field.one
         for i in rng.sample(range(1, q), samples):
@@ -200,16 +196,14 @@ def monte_carlo_estimate(
     d: int,
     trials: int,
     seed: int = 0,
-    *,
-    modulus_attempts: Optional[int] = None,
 ) -> MonteCarloResult:
     """Sample alpha uniformly from the units and estimate the probability.
 
     Fully deterministic for fixed (seed, parameters): the seed drives both
-    the modulus search (random monic candidates, Rabin-tested, at most
-    50*k attempts by default) and the alpha stream, which ``decide_many``
-    decides in batches of at most ``_SAMPLE_BATCH``. stderr is the plug-in
-    binomial standard error sqrt(phat*(1-phat)/trials).
+    the modulus search (at most 50*k random monic candidates, Rabin-tested)
+    and the alpha stream, which ``decide_many`` decides in batches of at
+    most ``_SAMPLE_BATCH``. stderr is the plug-in binomial standard error
+    sqrt(phat*(1-phat)/trials).
     """
     _validate(p, k, d)
     if trials < 1:
@@ -220,7 +214,7 @@ def monte_carlo_estimate(
         field: Union[PrimeField, ExtensionField] = PrimeField(p)
     else:
         base = PrimeField(p)
-        attempts = modulus_attempts if modulus_attempts is not None else 50 * k
+        attempts = 50 * k
         for _ in range(attempts):
             candidate = Poly(base, [rng.randrange(p) for _ in range(k)] + [1])
             if rabin_test(candidate).irreducible:
