@@ -77,9 +77,9 @@ __all__ = [
     "WorkMeter",
 ]
 
-_NP_MUL_MIN_WORK = 256  # len(a)*len(b) below this: pure python wins
-# lists/numpy crossover, from timed Frobenius chains at p in {2, 3, 7, 13}: lists
-# won for sparse f up to n = 128, numpy for dense f from n = 64 to 128 on
+# lists/numpy crossover for residue rings, products and division, from timed
+# Frobenius chains at p in {2, 3, 7, 13} (BENCH_9.json): lists won for sparse f
+# up to n = 128, numpy for dense f from n = 64 to 128
 _LISTS_MAX_DEG = 64
 _MONTGOMERY_BLOCK = 4096  # values per Montgomery ladder; larger blocks outgrow the cache
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -217,7 +217,8 @@ def _pf_mul(p: int, a: list[int], b: list[int]) -> list[int]:
     if la == 0 or lb == 0:
         return []
     _METER_LOCAL.meter.mults += la * lb
-    if la * lb >= _NP_MUL_MIN_WORK and _np_safe(p, min(la, lb)):
+    width = min(la, lb)
+    if width - 1 > _LISTS_MAX_DEG and _np_safe(p, width):
         out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         return _strip((out % p).tolist(), 0)
     return _strip([v % p for v in _product_lists(a, b)], 0)
@@ -234,8 +235,7 @@ def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
     r = list(a)
     q = [0] * (la - lb + 1)
     _METER_LOCAL.meter.mults += (la - lb + 1) * lb
-    use_np = lb >= 64 and _np_safe(p, lb)
-    if use_np:
+    if lb - 1 > _LISTS_MAX_DEG and _np_safe(p, lb):
         rn = np.asarray(r, dtype=np.int64)
         bn = np.asarray(b[:-1], dtype=np.int64)
         for k in range(la - 1, lb - 2, -1):

@@ -32,6 +32,8 @@ from capelli.ff import (
     _gen_mul,
     _ladder,
     _np_safe,
+    _pf_divmod,
+    _pf_mul,
     _spreads,
     _strip,
 )
@@ -387,6 +389,32 @@ def test_ring_mul_and_reduce_match_schoolbook(p, n, data):
     # a long input: more than 2n coefficients, beyond one product's length
     long = _strip(a + b + a + [1], 0)
     assert ring.reduce(long) == _gen_divmod(K, long, f)[1]
+
+
+@pytest.mark.parametrize("p", [2, 13, 65521, 2**61 - 1])
+def test_prime_field_product_and_division_match_generic_kernels_at_the_crossover(p):
+    """Lengths 63 to 67 straddle the crossover: a product whose shorter factor,
+    or a division whose divisor, has degree above _LISTS_MAX_DEG runs on numpy
+    where int64 holds (not at p = 2^61 - 1). Both routes give the generic
+    kernels' answer and meter the same model."""
+    K = PrimeField(p)
+    rng = random.Random(p)
+
+    def poly(length):
+        return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+
+    lengths = range(_LISTS_MAX_DEG - 1, _LISTS_MAX_DEG + 4)
+    for la in lengths:
+        for lb in lengths:
+            a, b = poly(la), poly(lb)
+            with count_mults() as work:
+                product = _pf_mul(p, a, b)
+            assert product == _gen_mul(K, a, b)
+            assert work() == la * lb
+            with count_mults() as work:
+                quotient_remainder = _pf_divmod(p, a + b, b)
+            assert quotient_remainder == _gen_divmod(K, a + b, b)
+            assert work() == (la + 1) * lb
 
 
 @pytest.mark.parametrize("n", RING_DEGREES)
