@@ -173,14 +173,14 @@ def _auto_start(field: PrimeField, candidate_bound: int) -> Poly:
 
 
 def cmd_generate(args) -> int:
+    if (args.schedule is None) == (args.target_degree is None):
+        raise CapelliError("give exactly one of --schedule or --target-degree")
     field = PrimeField(args.p)
     if args.start is not None:
         start = parse_poly(args.start, field)
     else:
         start = _auto_start(field, args.candidate_bound)
 
-    if args.schedule is not None and args.target_degree is not None:
-        raise CapelliError("give either --schedule or --target-degree, not both")
     kwargs = dict(
         candidate_bound=args.candidate_bound,
         paranoid=args.paranoid,
@@ -318,7 +318,6 @@ def cmd_bench(args) -> int:
         raise CapelliError("empty schedule")
 
     rows = []
-    rejected = False
     for i, d in enumerate(schedule):
         t0 = time.perf_counter()
         with count_mults() as criterion_work:
@@ -351,8 +350,9 @@ def cmd_bench(args) -> int:
                 "_times": (criterion_ms, oracle_ms),
             }
         )
-        if not verdict.irreducible:
-            rejected = True
+        disagrees = oracle.irreducible != verdict.irreducible
+        rejected = not verdict.irreducible
+        if disagrees or rejected:
             break
         b = composed
 
@@ -360,7 +360,7 @@ def cmd_bench(args) -> int:
         "p": str(args.p),
         "input": args.start,
         "schedule": args.schedule,
-        "complete": not rejected,
+        "complete": not (rejected or disagrees),
         "steps": [{k: v for k, v in row.items() if k != "_times"} for row in rows],
     }
     if args.json:
@@ -377,6 +377,9 @@ def cmd_bench(args) -> int:
             )
         if rejected:
             print("stopped: step rejected")
+    if disagrees:
+        print(f"error: criterion and oracle disagree at step {i}", file=sys.stderr)
+        return 2
     return 1 if rejected else 0
 
 

@@ -52,6 +52,10 @@ def test_exit_code_matrix(capsys):
         (["generate", "-p", "2", "--start", "x^2+1", "--schedule", "3"], 2),  # reducible start
         (["generate", "-p", "2", "--start", "x^2+x+1", "--schedule", "3", "--paranoid"], 0),
         (["generate", "-p", "2", "--schedule", "3", "--target-degree", "9"], 2),  # both modes
+        # both modes, checked before the auto-start search finds no start
+        (["generate", "-p", "7", "--schedule", "3", "--target-degree", "9",
+          "--candidate-bound", "1"], 2),
+        (["generate", "-p", "7", "--candidate-bound", "1"], 2),  # neither mode
         (["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "3,2"], 1),  # rejected step
         (["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "3"], 0),
     ]
@@ -257,6 +261,27 @@ def test_bench_partial_table_on_rejection(capsys):
     assert report["complete"] is False
     assert len(report["steps"]) == 2  # stopped at the rejected second step
     assert report["steps"][1]["verdict"] == "reducible"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_bench_stops_where_criterion_and_oracle_disagree(capsys, json_flag):
+    real = capelli.cli.rabin_test
+
+    def oracle(f, **kwargs):
+        # the base and the first composition are right; the degree-18 one is called reducible
+        return OracleVerdict(False, "stub") if f.degree == 18 else real(f, **kwargs)
+
+    argv = ["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "3,3,3", *json_flag]
+    with patch("capelli.cli.rabin_test", side_effect=oracle):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error: criterion and oracle disagree at step 1" in err
+    if json_flag:
+        report = json.loads(out)
+        assert report["complete"] is False
+        assert [s["verdict"] for s in report["steps"]] == ["irreducible", "irreducible"]
+    else:
+        assert len(out.splitlines()) == 3  # the header and the rows so far
 
 
 def test_bench_degree_one_ratio_convention(capsys):
