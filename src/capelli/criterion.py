@@ -455,11 +455,8 @@ class TowerCertificate:
     steps: tuple
     final_degree: int
 
-    def base_polynomial(self) -> Poly:
-        return Poly(PrimeField(self.p), self.base)
-
     def final_polynomial(self) -> Poly:
-        b = self.base_polynomial()
+        b = Poly(PrimeField(self.p), self.base)
         for step in self.steps:
             b = compose_power(b, step.d)
         return b
