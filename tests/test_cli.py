@@ -263,7 +263,7 @@ def test_bench_partial_table_on_rejection(capsys):
     assert report["steps"][1]["verdict"] == "reducible"
 
 
-@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
 def test_bench_stops_where_criterion_and_oracle_disagree(capsys, json_flag):
     real = capelli.cli.rabin_test
 

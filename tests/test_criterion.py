@@ -571,7 +571,9 @@ def test_tower_paranoid_mode():
     assert cert.final_degree == 18
 
 
-@pytest.mark.parametrize("how", [{"schedule": [3]}, {"target_degree": 6}])
+@pytest.mark.parametrize(
+    "how", [{"schedule": [3]}, {"target_degree": 6}], ids=["schedule", "target"]
+)
 def test_tower_paranoid_mode_raises_when_the_oracle_disagrees(how):
     b0 = Poly(F2, [1, 1, 1])
 
