@@ -377,7 +377,7 @@ def decide_b_xd(
     the whole-field shortcuts first, then runs the residue tests on a root
     of b in F_p[x]/(b), each in the smallest subfield that holds its value.
     """
-    if not isinstance(b, Poly) or not isinstance(b.field, PrimeField):
+    if not isinstance(b, Poly):
         raise ValueError("b must be a polynomial over a prime field")
     if not b.is_monic:
         raise ValueError("b must be monic")
@@ -595,7 +595,7 @@ def grow_tower(
     """
     if (schedule is None) == (target_degree is None):
         raise ValueError("provide exactly one of schedule or target_degree")
-    if not isinstance(b0, Poly) or not isinstance(b0.field, PrimeField):
+    if not isinstance(b0, Poly):
         raise ValueError("b0 must be a polynomial over a prime field")
     if not b0.is_monic or b0.degree < 1:
         raise ValueError("b0 must be monic of degree >= 1")

@@ -1,4 +1,5 @@
-"""Exact arithmetic: prime fields, extension fields, and dense polynomials.
+"""Exact arithmetic: prime fields, extension fields, and dense polynomials
+over prime fields.
 
 Representation choices:
 
@@ -8,9 +9,10 @@ Representation choices:
    a fixed-length tuple of ints: the little-endian coefficients of its
    residue polynomial, zero-padded to the field degree. Both are immutable
    and hashable, and the tuple is what certificates record.
- - ``Poly`` stores a normalized little-endian coefficient tuple over its
-   field. The zero polynomial has an empty tuple and degree -1, which acts
-   as the "minus infinity" degree: it compares below every real degree.
+ - ``Poly`` stores a normalized little-endian coefficient tuple over F_p;
+   it accepts no other field. The zero polynomial has an empty tuple and
+   degree -1, which acts as the "minus infinity" degree: it compares below
+   every real degree.
  - Fields expose arithmetic on the raw values (``field.mul(a, b)`` etc.);
    ``Element`` wraps a raw value with operator sugar.
 
@@ -27,11 +29,11 @@ build and sparse moduli such as b(x^d) reduce in O(t) per coefficient.
 The module has one powering ladder, ``_ladder``, and every power runs on
 it: residues; an (N, n) int64 batch of residues, folded by the same terms
 (``pow_many``); a batch of F_p values on int64 arrays or, for p above
-about 1.5 * 10^9, in Montgomery form on uint64 arrays; polynomials over an
-extension field. It reads the exponent in a radix r and spends, per digit,
-one step a -> a^r and one product by a^digit if the digit is nonzero. Over
-F_p, a(x)^p = a(x^p), so a p-th power (a Frobenius step) takes no
-products. For a binomial f = x^n - c it moves and scales each coefficient,
+about 1.5 * 10^9, in Montgomery form on uint64 arrays. It reads the
+exponent in a radix r and spends, per digit, one step a -> a^r and one
+product by a^digit if the digit is nonzero. Over F_p, a(x)^p = a(x^p), so
+a p-th power (a Frobenius step) takes no products. For a binomial
+f = x^n - c it moves and scales each coefficient,
 x^(ip) = c^floor(ip/n) x^(ip mod n), in O(n) at any p; for other f it is
 a spread of the coefficients to stride p and a fold by f. Only
 ``_ResidueRing.pow`` passes r = p with that step, when the step is cheap
@@ -126,7 +128,8 @@ def count_mults():
     N*(n^2 + (n - 1)*t), whatever the values' actual lengths; over F_p it
     counts N, however the values are blocked. Outside the ring, a
     polynomial product counts la*lb, a division by a divisor of lb
-    coefficients counts lb per quotient coefficient, and a power a^e in F_p
+    coefficients counts lb per quotient coefficient, making a gcd monic
+    counts one per coefficient, and a power a^e in F_p
     counts the binary ladder's products, ``_ladder_products(e)``. Trial
     division of f of degree n counts, for each candidate divisor it tries
     up to and including the witness, that division: (n - j + 1)(j + 1) for
@@ -583,82 +586,17 @@ class _ResidueRing:
         return _trim_np(r[:n])
 
 
-# ---------------------------------------------------------------------------
-# generic kernels (coefficients live in any field object)
-# ---------------------------------------------------------------------------
-
-
-def _gen_mul(K, a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    zero = K.zero
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai != zero:
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    out[i + j] = K.add(out[i + j], K.mul(ai, bj))
-    return _strip(out, zero)
-
-
-def _gen_divmod(K, a: list, b: list) -> tuple[list, list]:
-    lb = len(b)
-    if lb == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    la = len(a)
-    zero = K.zero
-    if la < lb:
-        return [], _strip(list(a), zero)
-    inv_lead = K.inv(b[-1])
-    r = list(a)
-    q = [zero] * (la - lb + 1)
-    for k in range(la - 1, lb - 2, -1):
-        c = K.mul(r[k], inv_lead)
-        if c != zero:
-            q[k - lb + 1] = c
-            for i in range(lb - 1):
-                r[k - lb + 1 + i] = K.sub(r[k - lb + 1 + i], K.mul(c, b[i]))
-            r[k] = zero
-    return _strip(q, zero), _strip(r[: lb - 1], zero)
-
-
-def _mul_raw(K, a: list, b: list) -> list:
-    if isinstance(K, PrimeField):
-        return _pf_mul(K.p, a, b)
-    return _gen_mul(K, a, b)
-
-
-def _divmod_raw(K, a: list, b: list) -> tuple[list, list]:
-    if isinstance(K, PrimeField):
-        return _pf_divmod(K.p, a, b)
-    return _gen_divmod(K, a, b)
-
-
-def _powmod_raw(K, base: list, e: int, mod: list) -> list:
-    if isinstance(K, PrimeField):
-        p = K.p
-        if mod[-1] != 1:
-            # the remainder mod f equals the remainder mod f/lc(f)
-            inv_lead = pow(mod[-1], -1, p)
-            mod = [c * inv_lead % p for c in mod]
-        return _ResidueRing(p, mod).pow(base, e)
-    # extension-coefficient polynomials stay small; a plain ladder suffices
-    _, r = _divmod_raw(K, base, mod)
-    if e == 0:
-        return [K.one]
-    return _ladder(r, e, lambda x, y: _divmod_raw(K, _gen_mul(K, x, y), mod)[1])
-
-
-def _gcd_raw(K, a: list, b: list) -> list:
-    zero = K.zero
-    a, b = list(a), list(b)
+def _gcd_raw(p: int, a: list[int], b: list[int]) -> list[int]:
+    """The monic gcd of two int lists over F_p, by Euclid on ``_pf_divmod``."""
     while b:
-        a, b = b, _divmod_raw(K, a, b)[1]
+        a, b = b, _pf_divmod(p, a, b)[1]
     if not a:
         raise ZeroDivisionError("gcd(0, 0) is undefined")
-    inv_lead = K.inv(a[-1])
-    if a[-1] != K.one:
-        a = [K.mul(c, inv_lead) for c in a]
+    if a[-1] != 1:
+        # the scaling counts one product per coefficient
+        _METER_LOCAL.meter.mults += len(a)
+        inv_lead = pow(a[-1], -1, p)
+        a = [c * inv_lead % p for c in a]
     return a
 
 
@@ -956,9 +894,6 @@ class ExtensionField:
     def __call__(self, value) -> "Element":
         return Element(self, self.coerce(value))
 
-    def poly(self, coeffs: Sequence) -> "Poly":
-        return Poly(self, coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExtensionField)
@@ -1049,16 +984,19 @@ def ext_pow(a: Element, e: int) -> Element:
 
 
 class Poly:
-    """Dense univariate polynomial over a ``PrimeField`` or ``ExtensionField``.
+    """Dense univariate polynomial over a ``PrimeField``.
 
     Coefficients are stored little-endian (index i holds the coefficient of
     x^i) and normalized so the top stored coefficient is nonzero; the zero
-    polynomial stores nothing and reports degree -1.
+    polynomial stores nothing and reports degree -1. Any other field raises
+    ``FieldMismatchError``.
     """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs: Sequence):
+    def __init__(self, field: PrimeField, coeffs: Sequence):
+        if not isinstance(field, PrimeField):
+            raise FieldMismatchError(f"polynomials are over a prime field, not {field!r}")
         vals = [field.coerce(c) for c in coeffs]
         _strip(vals, field.zero)
         self.field = field
@@ -1161,11 +1099,11 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_field(other)
-        return self._wrap(_mul_raw(self.field, list(self.coeffs), list(other.coeffs)))
+        return self._wrap(_pf_mul(self.field.p, list(self.coeffs), list(other.coeffs)))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._same_field(other)
-        q, r = _divmod_raw(self.field, list(self.coeffs), list(other.coeffs))
+        q, r = _pf_divmod(self.field.p, list(self.coeffs), list(other.coeffs))
         return self._wrap(q), self._wrap(r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -1217,7 +1155,7 @@ class Poly:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error."""
     a._same_field(b)
-    raw = _gcd_raw(a.field, list(a.coeffs), list(b.coeffs))
+    raw = _gcd_raw(a.field.p, list(a.coeffs), list(b.coeffs))
     return a._wrap(raw)
 
 
@@ -1225,8 +1163,8 @@ def poly_powmod(base: Poly, e: int, modulus: Poly) -> Poly:
     """base^e reduced mod modulus.
 
     The exponent is an arbitrary-size non-negative int; the run costs
-    O(bit length of e) modular multiplications. Over F_p it is the residue
-    ring's ladder, which takes Frobenius steps for small p.
+    O(bit length of e) modular multiplications on the residue ring's ladder,
+    which takes Frobenius steps for small p.
     """
     base._same_field(modulus)
     if modulus.is_zero:
@@ -1235,8 +1173,12 @@ def poly_powmod(base: Poly, e: int, modulus: Poly) -> Poly:
         raise ValueError("modulus must have degree >= 1")
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    raw = _powmod_raw(base.field, list(base.coeffs), e, list(modulus.coeffs))
-    return base._wrap(raw)
+    p, mod = base.field.p, list(modulus.coeffs)
+    if mod[-1] != 1:
+        # the remainder mod f equals the remainder mod f/lc(f)
+        inv_lead = pow(mod[-1], -1, p)
+        mod = [c * inv_lead % p for c in mod]
+    return base._wrap(_ResidueRing(p, mod).pow(list(base.coeffs), e))
 
 
 def compose_power(b: Poly, d: int) -> Poly:

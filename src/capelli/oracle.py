@@ -3,12 +3,12 @@
 Two oracles with very different failure modes: the Rabin test (gcd
 conditions on Frobenius powers of x, computed in the residue ring) and
 plain trial division by every monic polynomial of at most half the degree,
-in index order. Over F_p with int64-safe p, trial division takes one
-vectorized Horner remainder pass per candidate degree (in blocks of at most
-``_TRIAL_BLOCK`` int64 entries) and calls no ``ff`` kernel, so it shares no
-code with the ring and gcd that Rabin uses; elsewhere it divides one
-candidate at a time. Both carry explicit work budgets; exceeding a budget
-raises instead of silently degrading.
+in index order. Both take polynomials over F_p. With int64-safe p, trial
+division takes one vectorized Horner remainder pass per candidate degree
+(in blocks of at most ``_TRIAL_BLOCK`` int64 entries) and calls no ``ff``
+kernel, so it shares no code with the ring and gcd that Rabin uses; at
+word-size p it divides one candidate at a time. Both carry explicit work
+budgets; exceeding a budget raises instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -25,12 +25,12 @@ from .ff import (
     Poly,
     PrimeField,
     _ResidueRing,
-    _divmod_raw,
     _gcd_raw,
     _ladder_products,
     _np_safe,
-    _powmod_raw,
+    _pf_divmod,
     _spreads,
+    _strip,
 )
 from .intops import distinct_prime_factors, divisors, mobius
 
@@ -61,14 +61,11 @@ class OracleVerdict:
     witness: Optional[Poly] = None
 
 
-def _raw_sub(K, a: list, b: list) -> list:
-    zero = K.zero
-    out = list(a) + [zero] * max(0, len(b) - len(a))
+def _raw_sub(p: int, a: list[int], b: list[int]) -> list[int]:
+    out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = K.sub(out[i], c)
-    while out and out[-1] == zero:
-        out.pop()
-    return out
+        out[i] = (out[i] - c) % p
+    return _strip(out, 0)
 
 
 def _doubling_chain(k: int, known) -> list[tuple[int, int]]:
@@ -87,11 +84,11 @@ def _doubling_chain(k: int, known) -> list[tuple[int, int]]:
     return chain[::-1]
 
 
-def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
+def _rabin_work(p: int, f: list[int], checkpoints: list[int]) -> int:
     """An upper bound on the multiplications that rabin_test meters on f.
 
-    Over F_p the powers x^(p^k) on the chain are charged what the residue
-    ring meters for them, with every operand at full length. A ring whose
+    The powers x^(p^k) on the chain are charged what the residue ring
+    meters for them, with every operand at full length. A ring whose
     Frobenius step is cheap (``ff._spreads``) takes n steps in all and no
     products: for a binomial f = x^n - c each moves at most n coefficients
     and counts at most n*t, and otherwise each folds (p - 1)(n - 1)
@@ -103,57 +100,32 @@ def _rabin_work(K, f: list, checkpoints: list[int]) -> int:
     gcd is charged n(n + 2): a Euclid step from l to l' < l coefficients
     meters (l - l' + 1)*l', at most 2(j - 1) for each j in (l', l], so the
     steps from n + 1 coefficients meter at most n(n + 1), and the final
-    scaling at most n. Reducing x modulo a linear f costs 2, and its powers
-    are native, one per step.
-
-    Over K = F_p[y]/(g) of degree m the generic ladder runs, and the same
-    counts are charged in products of K, each at most M = m^2 + (m - 1)t_g,
-    plus inversions in K, each an extended Euclid over F_p metering at most
-    2m(m + 1). A square-and-multiply step charges n^2 products, one
-    inversion of f's leading coefficient, and per quotient coefficient one
-    product for the coefficient and one per nonzero low term of f. Each gcd
-    inverts once per Euclid step, at most n of them, and once to scale.
+    scaling at most n. Reducing x modulo a linear f costs 2, and x^p is then
+    a native power, charged its ladder's products.
     """
     n = len(f) - 1
-    if isinstance(K, PrimeField):
-        p, t, binomial = K.p, n - f[:n].count(0), not any(f[1:n])
-        work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
-        if n > 1 and _spreads(p, n, t, binomial):
-            return work + n * (n if binomial else (p - 1) * (n - 1)) * t
-        step = n * n + (n - 1) * t
-        if n > 1:
-            s = isqrt(n - 1) + 1
-            known = {1}
-            for e in checkpoints + [n]:
-                chain = _doubling_chain(e, known)
-                known.update(k for k, _ in chain)
-                work += len(chain) * ((s - 2 - (-n // s)) * step + n * n)
-            return work + _ladder_products(p) * step
-    else:
-        m, t = K.degree, n - f[:n].count(K.zero)
-        mul = m * m + (m - 1) * (m - K.modulus[:m].count(0))
-        inv = 2 * m * (m + 1)
-        work = (inv + 2 * mul if n == 1 else 0) + len(checkpoints) * (
-            n * (n + 2) * mul + (n + 1) * inv
-        )
-        step = (n * n + (n - 1) * (t + 1)) * mul + inv
-    prev = 0
+    t, binomial = n - f[:n].count(0), not any(f[1:n])
+    work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
+    if n > 1 and _spreads(p, n, t, binomial):
+        return work + n * (n if binomial else (p - 1) * (n - 1)) * t
+    step = n * n + (n - 1) * t
+    s = isqrt(n - 1) + 1
+    known = {1}
     for e in checkpoints + [n]:
-        qk = K.order ** (e - prev)
-        work += _ladder_products(qk) * step
-        prev = e
-    return work
+        chain = _doubling_chain(e, known)
+        known.update(k for k, _ in chain)
+        work += len(chain) * ((s - 2 - (-n // s)) * step + n * n)
+    return work + _ladder_products(p) * step
 
 
 def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> OracleVerdict:
-    """Rabin irreducibility test over the coefficient field of f.
+    """Rabin irreducibility test over F_p.
 
-    f of degree n over F_q is irreducible iff x^(q^n) = x (mod f) and
-    gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
+    f of degree n is irreducible iff x^(p^n) = x (mod f) and
+    gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
     powers are computed once along an ascending chain: on the ladder, at
-    the cost of a single exponentiation to q^n, or over F_p where a
-    Frobenius step is not cheap, by x^p and O(log n) compositions
-    (``_frobenius_climb``).
+    the cost of a single exponentiation to p^n, or where a Frobenius step
+    is not cheap, by x^p and O(log n) compositions (``_frobenius_climb``).
     """
     if f.is_zero:
         raise ValueError("rabin_test requires a nonzero polynomial")
@@ -162,44 +134,43 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
     n = f.degree
     if n < 1:
         raise ValueError("rabin_test requires degree >= 1")
-    K = f.field
-    q = K.order
+    p = f.field.p
     fc = list(f.coeffs)
     checkpoints = sorted({n // r for r in distinct_prime_factors(n)})
     if work_bound is not None:
-        estimate = _rabin_work(K, fc, checkpoints)
+        estimate = _rabin_work(p, fc, checkpoints)
         if estimate > work_bound:
             raise WorkBoundExceededError(
-                f"rabin_test on degree {n} over a field of {q.bit_length()}-bit order "
+                f"rabin_test on degree {n} over a field of {p.bit_length()}-bit order "
                 f"needs about {estimate} multiplications (bound {work_bound})"
             )
-    x_red = _divmod_raw(K, [K.zero, K.one], fc)[1]
-    climb = _frobenius_climb(K, fc, x_red)
+    x_red = _pf_divmod(p, [0, 1], fc)[1]
+    climb = _frobenius_climb(p, fc, x_red)
     for e in checkpoints:
-        diff = _raw_sub(K, climb(e), x_red)
+        diff = _raw_sub(p, climb(e), x_red)
         if not diff:
-            # x^(q^e) fixes x, so every factor has degree dividing e < n
+            # x^(p^e) fixes x, so every factor has degree dividing e < n
             return OracleVerdict(False, "rabin")
-        g = _gcd_raw(K, fc, diff)
+        g = _gcd_raw(p, fc, diff)
         if len(g) > 1:
-            return OracleVerdict(False, "rabin", witness=Poly(K, g))
+            return OracleVerdict(False, "rabin", witness=Poly(f.field, g))
     if climb(n) != x_red:
         return OracleVerdict(False, "rabin")
     return OracleVerdict(True, "rabin")
 
 
-def _frobenius_climb(K, fc: list, x_red: list):
-    """A function e -> x^(q^e) mod f, to be called with ascending e.
+def _frobenius_climb(p: int, fc: list[int], x_red: list[int]):
+    """A function e -> x^(p^e) mod f, to be called with ascending e.
 
-    Over F_p one residue ring serves the test. Where its Frobenius step is
-    not cheap (``ff._spreads``), x^p is taken once on its ladder and each
-    x^(p^e) by compositions from the powers known so far
-    (``_doubling_chain``). Elsewhere, and over extension fields, each call
-    climbs from the last power on the ladder, h -> h^(q^(e - prev)).
+    One residue ring serves the test. Where its Frobenius step is not cheap
+    (``ff._spreads``), x^p is taken once on its ladder and each x^(p^e) by
+    compositions from the powers known so far (``_doubling_chain``).
+    Elsewhere each call climbs from the last power on the ladder,
+    h -> h^(p^(e - prev)).
     """
-    ring = _ResidueRing(K.p, fc) if isinstance(K, PrimeField) else None
-    if ring is not None and not ring.spreads:
-        known = {1: ring.pow(x_red, K.p)}
+    ring = _ResidueRing(p, fc)
+    if not ring.spreads:
+        known = {1: ring.pow(x_red, p)}
 
         def climb(e: int) -> list:
             for k, i in _doubling_chain(e, known):
@@ -211,17 +182,10 @@ def _frobenius_climb(K, fc: list, x_red: list):
 
         def climb(e: int) -> list:
             prev = max(known)
-            h, qe = known[prev], K.order ** (e - prev)
-            known[e] = ring.pow(h, qe) if ring else _powmod_raw(K, h, qe, fc)
+            known[e] = ring.pow(known[prev], p ** (e - prev))
             return known[e]
 
     return climb
-
-
-def _monic_candidates(K, degree: int) -> Iterator[tuple]:
-    # lazily, so a word-size field never lists its p^degree candidates
-    for idx in range(K.order**degree):
-        yield Poly.monic_from_index(K, degree, idx).coeffs
 
 
 def _candidate_block(p: int, j: int, start: int, count: int) -> np.ndarray:
@@ -301,11 +265,11 @@ def trial_division_test(
     Deliberately the dumbest possible oracle. Candidates are tried in
     ascending degree and, within a degree, in ``Poly.monic_from_index``
     order; zero-constant candidates are skipped when f(0) != 0. Returns the
-    first divisor found as a witness. Over F_p with ``_np_safe(p, 1)`` each
-    degree is one vectorized remainder pass (see ``_batched_trial_division``)
-    that shares no kernel with Rabin's residue ring and gcd; over extension
-    fields and word-size p each candidate is divided in turn. Both routes
-    give the same verdict, witness and metered work.
+    first divisor found as a witness. With ``_np_safe(p, 1)`` each degree is
+    one vectorized remainder pass (see ``_batched_trial_division``) that
+    shares no kernel with Rabin's residue ring and gcd; at word-size p each
+    candidate is divided in turn by ``_pf_divmod``. Both routes give the
+    same verdict, witness and metered work.
     """
     n = f.degree
     if n < 1:
@@ -313,28 +277,27 @@ def trial_division_test(
     if n == 1:
         return OracleVerdict(True, "trial-division")
     K = f.field
-    q = K.order
+    p = K.p
     half = n // 2
     if work_bound is not None:
-        estimate = sum(q**j * (n - j + 1) * (j + 1) for j in range(1, half + 1))
+        estimate = sum(p**j * (n - j + 1) * (j + 1) for j in range(1, half + 1))
         if estimate > work_bound:
             raise WorkBoundExceededError(
-                f"trial division over order-{q} field at degree {n} needs about "
+                f"trial division over order-{p} field at degree {n} needs about "
                 f"{estimate} multiplications (bound {work_bound})"
             )
     fc = list(f.coeffs)
-    if isinstance(K, PrimeField) and _np_safe(K.p, 1):
-        witness = _batched_trial_division(K.p, fc)
+    if _np_safe(p, 1):
+        witness = _batched_trial_division(p, fc)
         if witness is None:
             return OracleVerdict(True, "trial-division")
         return OracleVerdict(False, "trial-division", witness=Poly(K, witness))
-    zero = K.zero
-    skip_zero_constant = f.coeffs[0] != zero
     for j in range(1, half + 1):
-        for cand in _monic_candidates(K, j):
-            if skip_zero_constant and cand[0] == zero:
+        for idx in range(p**j):
+            cand = Poly.monic_from_index(K, j, idx).coeffs
+            if fc[0] and not cand[0]:
                 continue
-            if not _divmod_raw(K, fc, list(cand))[1]:
+            if not _pf_divmod(p, fc, list(cand))[1]:
                 return OracleVerdict(False, "trial-division", witness=Poly(K, cand))
     return OracleVerdict(True, "trial-division")
 

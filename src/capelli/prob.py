@@ -7,9 +7,10 @@ in one batch (``criterion.decide_many``: the shortcuts and the residue plan
 once, then one vectorized ladder per prime d' | d) and counts the
 mask. A random subsample then checks each sampled mask entry against the
 per-alpha ``decide_xd_minus_alpha``, which stays the reference, and
-against the brute-force Rabin oracle on x^d - alpha. A seeded Monte Carlo
-estimator rounds out the empirical side; it draws alpha in the same order
-as a per-alpha loop and decides them in batches.
+against the Rabin oracle over F_p on b(x^d), b the minimal polynomial of
+alpha (``_oracle_verdict``). A seeded Monte Carlo estimator rounds out the
+empirical side; it draws alpha in the same order as a per-alpha loop and
+decides them in batches.
 
 Unless asked otherwise, probabilities are over the units (alpha uniform on
 the multiplicative group). The include-zero convention enlarges only the
@@ -30,7 +31,7 @@ import numpy as np
 
 from .criterion import decide_many, decide_xd_minus_alpha, star_condition
 from .errors import CapelliError, EnumerationBoundExceededError, OracleDisagreementError
-from .ff import Element, ExtensionField, Poly, PrimeField
+from .ff import Element, ExtensionField, Poly, PrimeField, compose_power
 from .intops import distinct_prime_factors, is_prime
 from .oracle import (
     DEFAULT_ENUMERATION_BOUND,
@@ -138,6 +139,35 @@ def _build_field(p: int, k: int, bound: int) -> Union[PrimeField, ExtensionField
     return ExtensionField(base, modulus, trusted=True)
 
 
+def _oracle_verdict(
+    field: Union[PrimeField, ExtensionField], alpha, d: int, work_bound: Optional[int]
+) -> bool:
+    """Whether x^d - alpha is irreducible over the field F_{p^k}, by Rabin
+    over F_p.
+
+    Let j be the degree of alpha over F_p and b its minimal polynomial, the
+    product of x - c over the conjugates c = alpha, alpha^p, ... Then
+    x^d - alpha is irreducible over F_{p^j} iff b(x^d) is irreducible over
+    F_p, and an irreducible polynomial of degree d over F_{p^j} stays
+    irreducible over F_{p^k} iff gcd(d, k/j) = 1 (Lidl and Niederreiter,
+    Thm 3.46).
+    """
+    b, c = [field.one], alpha
+    while True:
+        # b <- b * (x - c): coefficient i is b[i - 1] - c * b[i]
+        b = [field.sub(lo, field.mul(c, hi))
+             for lo, hi in zip([field.zero] + b, b + [field.zero])]
+        c = field.pow(c, field.p)
+        if c == alpha:
+            break
+    j = len(b) - 1
+    if math.gcd(d, field.degree // j) != 1:
+        return False
+    # b's coefficients lie in F_p, the field's first p indices
+    b_xd = compose_power(Poly(PrimeField(field.p), [field.to_index(v) for v in b]), d)
+    return rabin_test(b_xd, work_bound=work_bound).irreducible
+
+
 def exhaustive_census(
     p: int,
     k: int,
@@ -155,8 +185,9 @@ def exhaustive_census(
     in enumeration order. The count is that of ``decide_many``'s mask. A
     random subsample, a fraction ``oracle_fraction`` of the units, compares
     three answers for each sampled alpha: the mask entry,
-    ``decide_xd_minus_alpha`` and the Rabin oracle on the literal polynomial
-    x^d - alpha (under ``work_bound``); any disagreement raises. Set
+    ``decide_xd_minus_alpha`` and the Rabin oracle over F_p on b(x^d), b the
+    minimal polynomial of alpha (``_oracle_verdict``, under ``work_bound``);
+    any disagreement raises. Set
     ``oracle_fraction=0`` to skip the cross-check in bulk sweeps.
     """
     _validate(p, k, d)
@@ -173,18 +204,16 @@ def exhaustive_census(
     if oracle_fraction > 0:
         samples = min(math.ceil(oracle_fraction * (q - 1)), q - 1)
         rng = random.Random(seed)
-        zero, one = field.zero, field.one
         for i in rng.sample(range(1, q), samples):
             raw = field.from_index(i)
             verdict = decide_xd_minus_alpha(Element(field, raw), d)
-            binomial = Poly(field, [field.neg(raw)] + [zero] * (d - 1) + [one])
-            oracle = rabin_test(binomial, work_bound=work_bound)
+            oracle = _oracle_verdict(field, raw, d, work_bound)
             counted = bool(mask[i - 1])
-            if not counted == verdict.irreducible == oracle.irreducible:
+            if not counted == verdict.irreducible == oracle:
                 raise OracleDisagreementError(
                     f"on x^{d} - alpha for alpha index {i} over a field of order {q}, "
                     f"the batched decision says {counted}, the per-alpha criterion "
-                    f"{verdict.irreducible} and the oracle {oracle.irreducible}"
+                    f"{verdict.irreducible} and the oracle {oracle}"
                 )
     total = q - 1 if convention is Convention.UNITS_ONLY else q
     return CensusResult(q=q, irreducible_count=count, total=total, convention=convention)

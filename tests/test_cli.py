@@ -169,6 +169,16 @@ def test_prob_census_passes_the_work_bound_to_its_oracle(capsys):
     assert code == 0 and json.loads(out)["census"]["irreducible_count"] == "4"
 
 
+def test_prob_census_over_f_8192_fits_the_default_work_bound(capsys):
+    """2^13 - 1 is prime, so every prime divisor of d = 15 is coprime to
+    q - 1 and no alpha counts; the oracle confirms 820 of them over F_2."""
+    argv = ["prob", "-p", "2", "-k", "13", "-d", "15", "--census", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    census = json.loads(out)["census"]
+    assert (census["irreducible_count"], census["total"]) == ("0", "8191")
+
+
 def test_generate_writes_replayable_certificate(tmp_path, capsys):
     cert_path = tmp_path / "tower.json"
     code, out, _ = run_cli(

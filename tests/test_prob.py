@@ -15,6 +15,7 @@ from capelli import (
     PrimeField,
     Reason,
     Verdict,
+    compose_power,
     count_mults,
     decide_xd_minus_alpha,
     exact_probability,
@@ -86,6 +87,38 @@ def test_census_subsample_catches_a_corrupted_mask(index, monkeypatch):
     monkeypatch.setattr(prob, "decide_many", corrupted)
     with pytest.raises(OracleDisagreementError, match=f"alpha index {index} "):
         exhaustive_census(3, 4, 4, oracle_fraction=1.0)
+
+
+def test_census_oracle_needs_d_coprime_to_the_degree_ratio():
+    """x^d - alpha, alpha of degree j over F_p, is irreducible over F_{p^k}
+    iff b(x^d) is over F_p and gcd(d, k/j) = 1. Over F_9, alpha = -1 lies
+    in F_3: Rabin over F_3 calls x^2 + 1 irreducible, yet it splits over F_9."""
+    F9 = prob._build_field(3, 2, 10_000)
+    minus_one = F9.neg(F9.one)
+    assert rabin_test(Poly(PrimeField(3), [1, 0, 1])).irreducible
+    assert not prob._oracle_verdict(F9, minus_one, 2, None)
+    assert not decide_xd_minus_alpha(Element(F9, minus_one), 2).irreducible
+    assert exhaustive_census(3, 2, 2, oracle_fraction=1.0).irreducible_count == 4
+
+
+def test_census_oracle_on_alpha_of_degree_two_in_f81():
+    """k = 4, j = 2: alpha has minimal polynomial x^2 - (alpha + alpha^3)x
+    + alpha^4 over F_3. Where b(x^2) is irreducible, x^2 - alpha is
+    irreducible over F_9 and splits over F_81, as gcd(2, 2) = 2 says."""
+    F3, F81 = PrimeField(3), prob._build_field(3, 4, 10_000)
+    irreducible_over_f9 = 0
+    for i in range(1, 81):
+        alpha = F81.from_index(i)
+        if F81.pow(alpha, 9) != alpha or F81.pow(alpha, 3) == alpha:
+            continue
+        trace, norm = F81.add(alpha, F81.pow(alpha, 3)), F81.pow(alpha, 4)
+        b = Poly(F3, [F81.to_index(norm), F81.to_index(F81.neg(trace)), 1])
+        irreducible_over_f9 += rabin_test(compose_power(b, 2)).irreducible
+        for d in (2, 4, 5):
+            assert not prob._oracle_verdict(F81, alpha, d, None), (i, d)
+    assert irreducible_over_f9 == 4
+    for d in (2, 4, 5, 10):
+        exhaustive_census(3, 4, d, oracle_fraction=1.0)
 
 
 def test_census_subsample_catches_a_wrong_per_alpha_verdict(monkeypatch):
