@@ -20,8 +20,6 @@ from .criterion import (
     decide_many,
     decide_xd_minus_alpha,
     grow_tower,
-    is_nth_power,
-    minus4_fourth_power_condition,
     reducibility_shortcuts,
     replay_certificate,
     star_condition,
@@ -40,13 +38,11 @@ from .errors import (
     WorkBoundExceededError,
 )
 from .ff import (
-    Element,
     ExtensionField,
     Poly,
     PrimeField,
     compose_power,
     count_mults,
-    ext_pow,
     poly_gcd,
     poly_powmod,
 )

@@ -40,7 +40,7 @@ from .errors import (
     TowerStepRejectedError,
 )
 from .ff import Poly, PrimeField, count_mults
-from .oracle import DEFAULT_ENUMERATION_BOUND, DEFAULT_WORK_BOUND, rabin_test
+from .oracle import DEFAULT_ENUMERATION_BOUND, DEFAULT_WORK_BOUND, enumerate_irreducibles, rabin_test
 from .polytext import parse_coeff_array, parse_poly, render_poly
 from .prob import Convention, exact_probability, exhaustive_census, monte_carlo_estimate, union_lower_bound
 
@@ -158,10 +158,7 @@ def cmd_test(args) -> int:
 def _auto_start(field: PrimeField, candidate_bound: int) -> Poly:
     """First degree-2 monic irreducible (by index) admitting a certified step."""
     p = field.p
-    for idx in range(p * p):
-        cand = Poly.monic_from_index(field, 2, idx)
-        if not rabin_test(cand).irreducible:
-            continue
+    for cand in enumerate_irreducibles(field, 2, bound=p * p):
         try:
             _next_step(cand, candidate_bound)
         except NoViableStepError:

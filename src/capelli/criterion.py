@@ -58,7 +58,7 @@ from .errors import (
     TowerStepRejectedError,
     WorkBoundExceededError,
 )
-from .ff import Element, ExtensionField, Poly, PrimeField, compose_power
+from .ff import ExtensionField, Poly, PrimeField, compose_power
 from .intops import distinct_prime_factors, divisors, is_prime, primes_up_to
 from .oracle import DEFAULT_WORK_BOUND, rabin_test
 
@@ -69,8 +69,6 @@ __all__ = [
     "FourthPowerTest",
     "Shortcut",
     "ZeroRootEvidence",
-    "is_nth_power",
-    "minus4_fourth_power_condition",
     "reducibility_shortcuts",
     "star_condition",
     "decide_xd_minus_alpha",
@@ -176,33 +174,6 @@ def _residue_plan(order_minus_one: int, d: int):
     return prime_tests, fourth_exponent
 
 
-def is_nth_power(a: Element, n: int) -> bool:
-    """Whether a = c^n for some c in a's field, for nonzero a.
-
-    Tests a^((q-1)/g) = 1 with g = gcd(n, q-1), valid because the unit
-    group is cyclic of order q-1. When g = 1 every element passes, which is
-    the correct answer (raising to n permutes the units).
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    K = a.field
-    if a.value == K.zero:
-        raise ValueError("is_nth_power is defined on nonzero elements only")
-    g = math.gcd(n, K.order_minus_one)
-    return K.pow(a.value, K.order_minus_one // g) == K.one
-
-
-def minus4_fourth_power_condition(a: Element) -> bool:
-    """Whether -4*a is a fourth power; callable only in odd characteristic."""
-    K = a.field
-    if K.p == 2:
-        raise ValueError("the fourth-power condition is not defined in characteristic 2")
-    if a.value == K.zero:
-        raise ValueError("alpha must be nonzero")
-    minus4a = K.mul(K.scalar(-4), a.value)
-    return is_nth_power(Element(K, minus4a), 4)
-
-
 def reducibility_shortcuts(p: int, k: int, d: int) -> Optional[Shortcut]:
     """Whole-field shortcuts making x^d - alpha reducible for every unit alpha.
 
@@ -232,27 +203,29 @@ def star_condition(p: int, k: int, d: int) -> bool:
     return reducibility_shortcuts(p, k, d) is None
 
 
-def decide_xd_minus_alpha(a: Element, d: int) -> Verdict:
-    """Decide irreducibility of x^d - alpha over alpha's field.
+def decide_xd_minus_alpha(field: Union[PrimeField, ExtensionField], alpha, d: int) -> Verdict:
+    """Decide irreducibility of x^d - alpha over ``field``.
 
-    Irreducible iff alpha is not a d'-th power for any prime d' | d, and
-    (when 4 | d) -4*alpha is not a fourth power. Tests run in a fixed
-    order and the first failing one becomes the verdict's evidence.
+    alpha is a nonzero raw value of the field: an int in [0, p) over F_p,
+    an m-tuple of them over F_{p^m}. x^d - alpha is irreducible iff alpha
+    is not a d'-th power for any prime d' | d, and (when 4 | d) -4*alpha is
+    not a fourth power; alpha is an n-th power iff
+    alpha^((q-1)/gcd(n, q-1)) = 1. Tests run in a fixed order, each
+    recorded with its ``is_power``, and the first that finds a power
+    becomes the verdict's evidence.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
-    K = a.field
-    raw = a.value
-    if raw == K.zero:
+    if alpha == field.zero:
         raise ValueError("alpha must be nonzero (x^d is trivially reducible for d >= 2)")
     if d == 1:
         return Verdict(True, Reason.DEGREE_ONE)
-    plan, fourth_exponent = _residue_plan(K.order_minus_one, d)
-    one = K.one
+    plan, fourth_exponent = _residue_plan(field.order_minus_one, d)
+    one = field.one
     tests = []
     for dprime, exponent in plan:
-        value = K.pow(raw, exponent)
-        test = ResidueTest(dprime, exponent, _element_coeffs(K, value), value == one)
+        value = field.pow(alpha, exponent)
+        test = ResidueTest(dprime, exponent, _element_coeffs(field, value), value == one)
         tests.append(test)
         if test.is_power:
             return Verdict(
@@ -260,10 +233,10 @@ def decide_xd_minus_alpha(a: Element, d: int) -> Verdict:
             )
     if fourth_exponent is not None:
         # unreachable in characteristic 2: the d' = 2 test above always fires there
-        assert K.p != 2
-        minus4a = K.mul(K.scalar(-4), raw)
-        value = K.pow(minus4a, fourth_exponent)
-        test = FourthPowerTest(fourth_exponent, _element_coeffs(K, value), value == one)
+        assert field.p != 2
+        minus4a = field.mul(field.scalar(-4), alpha)
+        value = field.pow(minus4a, fourth_exponent)
+        test = FourthPowerTest(fourth_exponent, _element_coeffs(field, value), value == one)
         tests.append(test)
         if test.is_power:
             return Verdict(
@@ -283,7 +256,7 @@ def _equal_many(powers: np.ndarray, target) -> np.ndarray:
 
 
 def decide_many(field: Union[PrimeField, ExtensionField], d: int, values) -> np.ndarray:
-    """``decide_xd_minus_alpha(alpha, d).irreducible`` for a batch of alpha.
+    """``decide_xd_minus_alpha(field, alpha, d).irreducible`` for a batch of alpha.
 
     ``values`` holds nonzero raw values of ``field``: ints over F_p, an
     (N, m) array or m-tuples over F_{p^m}. Returns a bool mask of length N.
@@ -352,15 +325,16 @@ class _DescentField(ExtensionField):
         return super().pow(a, e)
 
 
-def _root(b: Poly, descent: bool) -> Optional[Element]:
-    """The residue of x modulo b, None when b = x: in F_p when deg b = 1, else
-    in F_p[x]/(b) as a _DescentField, or a plain ExtensionField without descent."""
+def _root(b: Poly, descent: bool) -> Optional[tuple]:
+    """(field, alpha) for alpha the residue of x modulo b, None when b = x:
+    F_p when deg b = 1, else F_p[x]/(b) as a _DescentField, or a plain
+    ExtensionField without descent."""
     K = b.field
     if b.degree == 1:
-        alpha_raw = K.neg(b.coeffs[0])
-        return Element(K, alpha_raw) if alpha_raw else None
+        alpha = K.neg(b.coeffs[0])
+        return (K, alpha) if alpha else None
     F = _DescentField(b) if descent else ExtensionField(K, b, trusted=True)
-    return Element(F, F.gen())
+    return F, F.gen()
 
 
 def decide_b_xd(
@@ -404,8 +378,8 @@ def _decide_step(b: Poly, d: int, descent: bool) -> Verdict:
     shortcut = reducibility_shortcuts(b.field.p, b.degree, d)
     if shortcut is not None:
         return Verdict(False, shortcut.reason, evidence=shortcut)
-    alpha = _root(b, descent)
-    if alpha is None:
+    root = _root(b, descent)
+    if root is None:
         # b = x, so b(x^d) = x^d
         smallest = distinct_prime_factors(d)[0]
         return Verdict(
@@ -413,7 +387,7 @@ def _decide_step(b: Poly, d: int, descent: bool) -> Verdict:
             Reason.ALPHA_IS_DPRIME_POWER,
             evidence=ZeroRootEvidence(dprime=smallest),
         )
-    return decide_xd_minus_alpha(alpha, d)
+    return decide_xd_minus_alpha(*root, d)
 
 
 # ---------------------------------------------------------------------------

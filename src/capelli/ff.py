@@ -13,8 +13,8 @@ Representation choices:
    it accepts no other field. The zero polynomial has an empty tuple and
    degree -1, which acts as the "minus infinity" degree: it compares below
    every real degree.
- - Fields expose arithmetic on the raw values (``field.mul(a, b)`` etc.);
-   ``Element`` wraps a raw value with operator sugar.
+ - Fields compute on raw values only (``field.mul(a, b)`` etc.); a
+   function that takes an element takes the field and the raw value.
 
 All arithmetic modulo a monic f over F_p goes through one residue ring,
 ``_ResidueRing(p, f)``: extension-field products and powers, and the
@@ -69,12 +69,10 @@ from .intops import is_prime
 __all__ = [
     "PrimeField",
     "ExtensionField",
-    "Element",
     "Poly",
     "poly_gcd",
     "poly_powmod",
     "compose_power",
-    "ext_pow",
     "count_mults",
     "WorkMeter",
 ]
@@ -693,10 +691,6 @@ class PrimeField:
     # conversions and iteration ----------------------------------------------
 
     def coerce(self, value) -> int:
-        if isinstance(value, Element):
-            if value.field != self:
-                raise FieldMismatchError("element from a different field")
-            return value.value
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
         raise TypeError(f"cannot interpret {value!r} as an element of {self!r}")
@@ -711,12 +705,6 @@ class PrimeField:
 
     def to_index(self, a: int) -> int:
         return a
-
-    def __call__(self, value) -> "Element":
-        return Element(self, self.coerce(value))
-
-    def poly(self, coeffs: Sequence) -> "Poly":
-        return Poly(self, coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -803,27 +791,6 @@ class ExtensionField:
     def mul(self, a: tuple, b: tuple) -> tuple:
         return self._residue(self._ring.mul(_strip(list(a), 0), _strip(list(b), 0)))
 
-    def inv(self, a: tuple) -> tuple:
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        # extended Euclid keeping s with s*a = r (mod modulus)
-        r0, r1 = list(self.modulus), _strip(list(a), 0)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _pf_divmod(p, r0, r1)
-            qs1 = _pf_mul(p, q, s1)
-            width = max(len(s0), len(qs1))
-            s_new = [
-                ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                for i in range(width)
-            ]
-            r0, r1 = r1, r
-            s0, s1 = s1, _strip(s_new, 0)
-        # modulus irreducible and a nonzero, so the gcd r0 is a nonzero constant
-        c = pow(r0[0], -1, p)
-        return self._residue([v * c % p for v in s0])
-
     def pow(self, a: tuple, e: int) -> tuple:
         if e < 0:
             raise ValueError("exponent must be non-negative")
@@ -847,19 +814,6 @@ class ExtensionField:
         return out
 
     # conversions and iteration ----------------------------------------------
-
-    def coerce(self, value) -> tuple:
-        if isinstance(value, Element):
-            if value.field != self:
-                raise FieldMismatchError("element from a different field")
-            return value.value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return self.scalar(value)
-        if isinstance(value, (tuple, list)):
-            if len(value) > self.degree:
-                raise ValueError("residue longer than the field degree")
-            return self._residue([int(v) % self.p for v in value])
-        raise TypeError(f"cannot interpret {value!r} as an element of {self!r}")
 
     def scalar(self, c: int) -> tuple:
         return (c % self.p,) + (0,) * (self.degree - 1)
@@ -891,9 +845,6 @@ class ExtensionField:
             out = out * self.p + c
         return out
 
-    def __call__(self, value) -> "Element":
-        return Element(self, self.coerce(value))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExtensionField)
@@ -906,76 +857,6 @@ class ExtensionField:
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.degree})"
-
-
-class Element:
-    """A field element: a raw value bound to its field, with operator sugar."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == self.field.zero
-
-    def _coerced(self, other):
-        if isinstance(other, Element):
-            if other.field != self.field:
-                raise FieldMismatchError("elements from different fields")
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return Element(self.field, self.field.add(self.value, self._coerced(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Element(self.field, self.field.sub(self.value, self._coerced(other)))
-
-    def __rsub__(self, other):
-        return Element(self.field, self.field.sub(self._coerced(other), self.value))
-
-    def __neg__(self):
-        return Element(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        return Element(self.field, self.field.mul(self.value, self._coerced(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Element(
-            self.field, self.field.mul(self.value, self.field.inv(self._coerced(other)))
-        )
-
-    def __pow__(self, e: int):
-        return Element(self.field, self.field.pow(self.value, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Element):
-            return other.field == self.field and other.value == self.value
-        try:
-            return self._coerced(other) == self.value
-        except (TypeError, FieldMismatchError):
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __repr__(self) -> str:
-        return f"{self.value!r} in {self.field!r}"
-
-
-def ext_pow(a: Element, e: int) -> Element:
-    """a^e by square-and-multiply in a's field; e is any non-negative int."""
-    return Element(a.field, a.field.pow(a.value, e))
 
 
 # ---------------------------------------------------------------------------
@@ -1121,14 +1002,14 @@ class Poly:
         c = K.inv(self.coeffs[-1])
         return self._wrap([K.mul(v, c) for v in self.coeffs])
 
-    def evaluate(self, point) -> Element:
-        """Horner evaluation at a field element."""
+    def evaluate(self, point) -> int:
+        """Horner evaluation at a value of F_p."""
         K = self.field
         x = K.coerce(point)
         acc = K.zero
         for c in reversed(self.coeffs):
             acc = K.add(K.mul(acc, x), c)
-        return Element(K, acc)
+        return acc
 
     def compose_power(self, d: int) -> "Poly":
         return compose_power(self, d)

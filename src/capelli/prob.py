@@ -31,7 +31,7 @@ import numpy as np
 
 from .criterion import decide_many, decide_xd_minus_alpha, star_condition
 from .errors import CapelliError, EnumerationBoundExceededError, OracleDisagreementError
-from .ff import Element, ExtensionField, Poly, PrimeField, compose_power
+from .ff import ExtensionField, Poly, PrimeField, compose_power
 from .intops import distinct_prime_factors, is_prime
 from .oracle import (
     DEFAULT_ENUMERATION_BOUND,
@@ -206,7 +206,7 @@ def exhaustive_census(
         rng = random.Random(seed)
         for i in rng.sample(range(1, q), samples):
             raw = field.from_index(i)
-            verdict = decide_xd_minus_alpha(Element(field, raw), d)
+            verdict = decide_xd_minus_alpha(field, raw, d)
             oracle = _oracle_verdict(field, raw, d, work_bound)
             counted = bool(mask[i - 1])
             if not counted == verdict.irreducible == oracle:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from capelli import (
     CertificateReplayError,
-    Element,
     ExtensionField,
     FourthPowerTest,
     NoViableStepError,
@@ -38,8 +37,6 @@ from capelli import (
     decide_xd_minus_alpha,
     enumerate_irreducibles,
     grow_tower,
-    is_nth_power,
-    minus4_fourth_power_condition,
     rabin_test,
     reducibility_shortcuts,
     replay_certificate,
@@ -60,45 +57,36 @@ F7 = PrimeField(7)
 # --- power-residue tests -------------------------------------------------------
 
 
-def test_is_nth_power_examples():
-    assert is_nth_power(F7(4), 2)  # squares mod 7 are {1,2,4}
-    assert not is_nth_power(F7(3), 2)
-    assert is_nth_power(F7(5), 1)
-    F9 = ExtensionField(F3, [1, 0, 1])
-    assert is_nth_power(Element(F9, F9.gen()), 2)
-
-
-def test_is_nth_power_rejects_zero():
-    with pytest.raises(ValueError):
-        is_nth_power(F7(0), 2)
-    with pytest.raises(ValueError):
-        is_nth_power(F7(3), 0)
-
-
 def test_is_nth_power_brute_force_agreement():
-    """Against enumerated n-th powers over every field of order q <= 81, n <= 12."""
+    """Each residue test a verdict records, against enumerated powers, over
+    every field of order q <= 81 and 2 <= d <= 12."""
     for q in prime_powers_up_to(81):
         K = field_of_order(q)
         units = [K.from_index(i) for i in range(1, q)]
-        for n in range(1, 13):
-            powers = {K.pow(u, n) for u in units}
+        powers = {n: {K.pow(u, n) for u in units} for n in (2, 3, 4, 5, 7, 11)}
+        minus4 = K.scalar(-4)
+        for d in range(2, 13):
             for u in units:
-                assert is_nth_power(Element(K, u), n) == (u in powers), (q, n, u)
+                v = decide_xd_minus_alpha(K, u, d)
+                for t in v.tests:
+                    if isinstance(t, ResidueTest):
+                        assert t.is_power == (u in powers[t.dprime]), (q, d, u)
+                    else:
+                        assert t.is_power == (K.mul(minus4, u) in powers[4]), (q, d, u)
+                assert v.irreducible == (not any(t.is_power for t in v.tests)), (q, d, u)
 
 
 def test_minus4_examples():
-    assert minus4_fourth_power_condition(F7(3))  # -12 = 2, fourth powers {1,2,4}
-    assert minus4_fourth_power_condition(F5(1))  # -4 = 1 = 1^4
-    F9 = ExtensionField(F3, [2, 1, 1])
-    assert minus4_fourth_power_condition(Element(F9, F9.scalar(2)))  # -8 = 1
-
-
-def test_minus4_char2_rejected():
-    F4 = ExtensionField(F2, [1, 1, 1])
-    with pytest.raises(ValueError):
-        minus4_fourth_power_condition(Element(F4, F4.gen()))
-    with pytest.raises(ValueError):
-        minus4_fourth_power_condition(F2(1))
+    """The -4*alpha test decides only for a non-square alpha: d' = 2 runs first."""
+    v = decide_xd_minus_alpha(F7, 3, 4)  # -12 = 2, and the fourth powers mod 7 are {1, 2, 4}
+    assert v.evidence == FourthPowerTest(3, (1,), True)
+    assert v.tests == (ResidueTest(2, 3, (6,), False), v.evidence)
+    assert decide_xd_minus_alpha(F5, 2, 4).tests[-1] == FourthPowerTest(1, (2,), False)
+    # over F_9 = F_3[i], -4 = (1 + i)^4 is a fourth power, so the test never finds
+    # one for the non-square 1 + i
+    F9 = ExtensionField(F3, [1, 0, 1])
+    assert decide_xd_minus_alpha(F9, (1, 1), 4).tests == (
+        ResidueTest(2, 4, (2, 0), False), FourthPowerTest(2, (0, 2), False))
 
 
 # --- shortcuts and the star condition ------------------------------------------
@@ -140,17 +128,29 @@ def test_star_equals_no_shortcut():
 
 
 def test_decide_xd_examples():
-    v = decide_xd_minus_alpha(F7(3), 3)
+    """Raw values: ints over F_7, tuples over F_9."""
+    v = decide_xd_minus_alpha(F7, 3, 3)
     assert v.irreducible and v.reason == Reason.PASSES_ALL_RESIDUE_TESTS
-    v = decide_xd_minus_alpha(F7(6), 3)
+    v = decide_xd_minus_alpha(F7, 6, 3)
     assert not v.irreducible and v.reason == Reason.ALPHA_IS_DPRIME_POWER
     assert v.evidence.dprime == 3
-    v = decide_xd_minus_alpha(F7(3), 4)
+    v = decide_xd_minus_alpha(F7, 3, 4)
     assert not v.irreducible and v.reason == Reason.MINUS4ALPHA_IS_FOURTH_POWER
-    v = decide_xd_minus_alpha(F7(5), 1)
-    assert v.irreducible and v.reason == Reason.DEGREE_ONE
-    with pytest.raises(ValueError):
-        decide_xd_minus_alpha(F7(0), 3)
+    v = decide_xd_minus_alpha(F7, 5, 1)
+    assert v.irreducible and v.reason == Reason.DEGREE_ONE and v.tests == ()
+    # the squares mod 7 are {1, 2, 4}
+    assert [decide_xd_minus_alpha(F7, a, 2).irreducible for a in range(1, 7)] == [
+        False, False, True, False, True, True]
+    assert decide_xd_minus_alpha(F7, 4, 2).evidence == ResidueTest(2, 3, (1,), True)
+    F9 = ExtensionField(F3, [1, 0, 1])
+    i = F9.gen()  # a square: i^4 = 1
+    assert decide_xd_minus_alpha(F9, i, 2).evidence == ResidueTest(2, 4, (1, 0), True)
+    assert decide_xd_minus_alpha(F9, (1, 1), 2).irreducible
+    for field, alpha in ((F7, 3), (F9, i)):
+        with pytest.raises(ValueError):
+            decide_xd_minus_alpha(field, field.zero, 3)
+        with pytest.raises(ValueError):
+            decide_xd_minus_alpha(field, alpha, 0)
 
 
 def _random_field(p, k, seed):
@@ -166,7 +166,7 @@ def _random_field(p, k, seed):
 
 
 def _per_alpha_mask(F, d, values):
-    return [decide_xd_minus_alpha(Element(F, v), d).irreducible for v in values]
+    return [decide_xd_minus_alpha(F, v, d).irreducible for v in values]
 
 
 # p = 2 and odd p with k from 1 to 9; F_p beyond int64 headroom (from 1,518,500,279
@@ -225,8 +225,8 @@ def test_fourth_power_test_decides_only_where_a_shortcut_applies(data):
                                       (11, 3), (13, 1), (13, 2), (65521, 1), (2**61 - 1, 1)]))
     F = _random_field(p, k, data.draw(st.integers(0, 2**16)))
     d = 4 * data.draw(st.integers(1, 6))
-    alpha = Element(F, F.from_index(data.draw(st.integers(1, F.order - 1))))
-    if decide_xd_minus_alpha(alpha, d).reason is Reason.MINUS4ALPHA_IS_FOURTH_POWER:
+    alpha = F.from_index(data.draw(st.integers(1, F.order - 1)))
+    if decide_xd_minus_alpha(F, alpha, d).reason is Reason.MINUS4ALPHA_IS_FOURTH_POWER:
         assert reducibility_shortcuts(p, k, d) is not None
 
 
@@ -242,7 +242,7 @@ def test_decide_many_validations():
 
 
 def test_decide_evidence_order_is_fixed():
-    v = decide_xd_minus_alpha(F7(3), 12)
+    v = decide_xd_minus_alpha(F7, 3, 12)
     kinds = [t.dprime for t in v.tests if isinstance(t, ResidueTest)]
     assert kinds == sorted(kinds)
     # first failing test is the evidence
@@ -259,7 +259,7 @@ def test_verdict_consistency_enforced():
 
 def test_decide_xd_d4_backed_by_trial_division():
     # x^4 - 3 over F_7: not a square, but -12 = 2 is a fourth power
-    v = decide_xd_minus_alpha(F7(3), 4)
+    v = decide_xd_minus_alpha(F7, 3, 4)
     assert not v.irreducible
     from capelli import trial_division_test
 
@@ -302,11 +302,11 @@ def test_conjugate_independence():
             F = ExtensionField(K, b, trusted=True)
             alpha = F.gen()
             for d in range(2, 9):
-                base = decide_xd_minus_alpha(Element(F, alpha), d).irreducible
+                base = decide_xd_minus_alpha(F, alpha, d).irreducible
                 conj = alpha
                 for _ in range(1, m):
                     conj = F.pow(conj, p)
-                    got = decide_xd_minus_alpha(Element(F, conj), d).irreducible
+                    got = decide_xd_minus_alpha(F, conj, d).irreducible
                     assert got == base, (p, b.coeffs, d)
 
 
@@ -371,7 +371,7 @@ def test_small_equivalence_grid():
 def _ladder_decision(b, d):
     """The residue tests of decide_b_xd, run by the direct ladder in F_p[x]/(b)."""
     F = ExtensionField(b.field, b, trusted=True)
-    return decide_xd_minus_alpha(Element(F, F.gen()), d)
+    return decide_xd_minus_alpha(F, F.gen(), d)
 
 
 def _descends(b, d):
@@ -944,7 +944,7 @@ def test_decide_b_xd_large_characteristic():
 
 def test_fourth_power_evidence_recorded_when_4_divides_d():
     # F_5, d = 4: star holds (5 = 1 mod 4); pick alpha = 2 (not a square mod 5)
-    v = decide_xd_minus_alpha(F5(2), 4)
+    v = decide_xd_minus_alpha(F5, 2, 4)
     assert v.irreducible
     kinds = [type(t).__name__ for t in v.tests]
     assert kinds == ["ResidueTest", "FourthPowerTest"]

@@ -7,7 +7,6 @@ import pytest
 
 from capelli import (
     Convention,
-    Element,
     EnumerationBoundExceededError,
     ExtensionField,
     OracleDisagreementError,
@@ -97,7 +96,7 @@ def test_census_oracle_needs_d_coprime_to_the_degree_ratio():
     minus_one = F9.neg(F9.one)
     assert rabin_test(Poly(PrimeField(3), [1, 0, 1])).irreducible
     assert not prob._oracle_verdict(F9, minus_one, 2, None)
-    assert not decide_xd_minus_alpha(Element(F9, minus_one), 2).irreducible
+    assert not decide_xd_minus_alpha(F9, minus_one, 2).irreducible
     assert exhaustive_census(3, 2, 2, oracle_fraction=1.0).irreducible_count == 4
 
 
@@ -122,8 +121,8 @@ def test_census_oracle_on_alpha_of_degree_two_in_f81():
 
 
 def test_census_subsample_catches_a_wrong_per_alpha_verdict(monkeypatch):
-    def flipped(alpha, d):
-        if decide_xd_minus_alpha(alpha, d).irreducible:
+    def flipped(field, alpha, d):
+        if decide_xd_minus_alpha(field, alpha, d).irreducible:
             return Verdict(False, Reason.ALPHA_IS_DPRIME_POWER)
         return Verdict(True, Reason.PASSES_ALL_RESIDUE_TESTS)
 
@@ -214,7 +213,7 @@ def _per_alpha_successes(p, k, d, trials, seed):
                 break
         F = ExtensionField(F, g, trusted=True)
     drawn = (F.from_index(rng.randrange(1, F.order)) for _ in range(trials))
-    return sum(decide_xd_minus_alpha(Element(F, v), d).irreducible for v in drawn)
+    return sum(decide_xd_minus_alpha(F, v, d).irreducible for v in drawn)
 
 
 @pytest.mark.parametrize(
