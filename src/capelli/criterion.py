@@ -207,16 +207,22 @@ def decide_xd_minus_alpha(field: Union[PrimeField, ExtensionField], alpha, d: in
     """Decide irreducibility of x^d - alpha over ``field``.
 
     alpha is a nonzero raw value of the field: an int in [0, p) over F_p,
-    an m-tuple of them over F_{p^m}. x^d - alpha is irreducible iff alpha
-    is not a d'-th power for any prime d' | d, and (when 4 | d) -4*alpha is
-    not a fourth power; alpha is an n-th power iff
-    alpha^((q-1)/gcd(n, q-1)) = 1. Tests run in a fixed order, each
-    recorded with its ``is_power``, and the first that finds a power
-    becomes the verdict's evidence.
+    an m-tuple of them over F_{p^m}; any other value raises ValueError.
+    x^d - alpha is irreducible iff alpha is not a d'-th power for any prime
+    d' | d, and (when 4 | d) -4*alpha is not a fourth power; alpha is an
+    n-th power iff alpha^((q-1)/gcd(n, q-1)) = 1. Tests run in a fixed
+    order, each recorded with its ``is_power``, and the first that finds a
+    power becomes the verdict's evidence.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
-    if alpha == field.zero:
+    coeffs = _element_coeffs(field, alpha)
+    if not isinstance(coeffs, tuple) or len(coeffs) != field.degree:
+        raise ValueError(f"alpha must be a tuple of {field.degree} ints")
+    values = set(coeffs)  # one pass over a long tuple; its values repeat
+    if min(values) < 0 or max(values) >= field.p:
+        raise ValueError(f"alpha's coefficients must lie in [0, {field.p})")
+    if values == {0}:
         raise ValueError("alpha must be nonzero (x^d is trivially reducible for d >= 2)")
     if d == 1:
         return Verdict(True, Reason.DEGREE_ONE)

@@ -25,6 +25,9 @@ int lists up to degree ``_LISTS_MAX_DEG``, int64 numpy kernels above it
 when the sums cannot overflow, and lists otherwise. Both reduce by
 folding with the t nonzero terms of x^n - f, so a ring costs O(n) to
 build and sparse moduli such as b(x^d) reduce in O(t) per coefficient.
+Outside the ring, ``Poly`` products and division (``_pf_mul``,
+``_pf_divmod``, and the gcd on it) run schoolbook loops on int lists at
+every size.
 
 The module has one powering ladder, ``_ladder``, and every power runs on
 it: residues; an (N, n) int64 batch of residues, folded by the same terms
@@ -74,30 +77,21 @@ __all__ = [
     "poly_powmod",
     "compose_power",
     "count_mults",
-    "WorkMeter",
 ]
 
-# lists/numpy crossover for residue rings, products and division, from timed
-# Frobenius chains at p in {2, 3, 7, 13} (BENCH_9.json): lists won for sparse f
-# up to n = 128, numpy for dense f from n = 64 to 128
+# lists/numpy crossover for residue rings only, from timed Frobenius chains at
+# p in {2, 3, 7, 13} (BENCH_9.json): lists won for sparse f up to n = 128, numpy
+# for dense f from n = 64 to 128
 _LISTS_MAX_DEG = 64
 _MONTGOMERY_BLOCK = 4096  # values per Montgomery ladder; larger blocks outgrow the cache
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-class WorkMeter:
-    """Per-thread tally of coefficient-field multiplications."""
-
-    __slots__ = ("mults",)
-
+class _MeterLocal(threading.local):
+    # the per-thread tally of coefficient-field multiplications; runs once in
+    # each thread that touches the meter
     def __init__(self) -> None:
         self.mults = 0
-
-
-class _MeterLocal(threading.local):
-    # runs once in each thread that touches the meter
-    def __init__(self) -> None:
-        self.meter = WorkMeter()
 
 
 _METER_LOCAL = _MeterLocal()
@@ -131,21 +125,20 @@ def count_mults():
     counts the binary ladder's products, ``_ladder_products(e)``. Trial
     division of f of degree n counts, for each candidate divisor it tries
     up to and including the witness, that division: (n - j + 1)(j + 1) for
-    a monic candidate of degree j over F_p, on the batched route as on the
-    per-candidate one. Inside the block the reading is live; once the block
-    exits it freezes, so work done afterwards never leaks into the figure.
+    a monic candidate of degree j over F_p. Inside the block the reading is
+    live; once the block exits it freezes, so work done afterwards never
+    leaks into the figure.
     """
-    m = _METER_LOCAL.meter
-    start = m.mults
+    start = _METER_LOCAL.mults
     frozen: list = []
 
     def reading() -> int:
-        return (frozen[0] if frozen else m.mults) - start
+        return (frozen[0] if frozen else _METER_LOCAL.mults) - start
 
     try:
         yield reading
     finally:
-        frozen.append(m.mults)
+        frozen.append(_METER_LOCAL.mults)
 
 
 def _np_safe(p: int, width: int) -> bool:
@@ -217,11 +210,7 @@ def _pf_mul(p: int, a: list[int], b: list[int]) -> list[int]:
     la, lb = len(a), len(b)
     if la == 0 or lb == 0:
         return []
-    _METER_LOCAL.meter.mults += la * lb
-    width = min(la, lb)
-    if width - 1 > _LISTS_MAX_DEG and _np_safe(p, width):
-        out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return _strip((out % p).tolist(), 0)
+    _METER_LOCAL.mults += la * lb
     return _strip([v % p for v in _product_lists(a, b)], 0)
 
 
@@ -235,24 +224,14 @@ def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
     inv_lead = pow(b[-1], -1, p)
     r = list(a)
     q = [0] * (la - lb + 1)
-    _METER_LOCAL.meter.mults += (la - lb + 1) * lb
-    if lb - 1 > _LISTS_MAX_DEG and _np_safe(p, lb):
-        rn = np.asarray(r, dtype=np.int64)
-        bn = np.asarray(b[:-1], dtype=np.int64)
-        for k in range(la - 1, lb - 2, -1):
-            c = int(rn[k]) * inv_lead % p
-            if c:
-                q[k - lb + 1] = c
-                rn[k - lb + 1 : k] = (rn[k - lb + 1 : k] - c * bn) % p
-        r = rn[: lb - 1].tolist()
-    else:
-        for k in range(la - 1, lb - 2, -1):
-            c = r[k] * inv_lead % p
-            if c:
-                q[k - lb + 1] = c
-                for i in range(lb - 1):
-                    r[k - lb + 1 + i] = (r[k - lb + 1 + i] - c * b[i]) % p
-        r = r[: lb - 1]
+    _METER_LOCAL.mults += (la - lb + 1) * lb
+    for k in range(la - 1, lb - 2, -1):
+        c = r[k] * inv_lead % p
+        if c:
+            q[k - lb + 1] = c
+            for i in range(lb - 1):
+                r[k - lb + 1 + i] = (r[k - lb + 1 + i] - c * b[i]) % p
+    r = r[: lb - 1]
     return _strip(q, 0), _strip(r, 0)
 
 
@@ -384,7 +363,7 @@ class _ResidueRing:
         """a mod f, for a trimmed list with entries in [0, p)."""
         if len(a) <= self.n:
             return a
-        _METER_LOCAL.meter.mults += (len(a) - self.n) * len(self.terms)
+        _METER_LOCAL.mults += (len(a) - self.n) * len(self.terms)
         if self.backend == "numpy":
             return self._reduce_np(np.asarray(a, dtype=np.int64)).tolist()
         return self._reduce_lists(list(a))
@@ -405,7 +384,7 @@ class _ResidueRing:
             return a if e else [1]
         if self.n == 1 and a:
             # residues are constants: hand the same ladder to the native pow
-            _METER_LOCAL.meter.mults += _ladder_products(e)
+            _METER_LOCAL.mults += _ladder_products(e)
             return [pow(a[0], e, self.p)]
         numpy = self.backend == "numpy"
         base = np.asarray(a, dtype=np.int64) if numpy else a
@@ -433,7 +412,6 @@ class _ResidueRing:
         for _ in range(s - 2):
             baby.append(mul(baby[-1], h))
         giant = mul(baby[-1], h) if len(g) > s else []
-        meter = _METER_LOCAL.meter
         r: list[int] = []
         for k in range((len(g) - 1) // s * s, -1, -s):
             acc = mul(r, giant)
@@ -441,7 +419,7 @@ class _ResidueRing:
             acc[0] += g[k]
             for c, a in zip(g[k + 1 : k + s], baby):
                 if c:
-                    meter.mults += len(a)
+                    _METER_LOCAL.mults += len(a)
                     for j, v in enumerate(a):
                         acc[j] += c * v
             r = _strip([v % p for v in acc], 0)
@@ -462,7 +440,7 @@ class _ResidueRing:
         ``count_mults``).
         """
         count, n, p = a.shape[0], self.n, self.p
-        _METER_LOCAL.meter.mults += count * (n * n + (n - 1) * len(self.terms))
+        _METER_LOCAL.mults += count * (n * n + (n - 1) * len(self.terms))
         prod = np.zeros((count, 2 * n - 1), dtype=np.int64)
         for i in range(n):
             prod[:, i : i + n] += a[:, i : i + 1] * b
@@ -488,7 +466,7 @@ class _ResidueRing:
         la, lb = len(a), len(b)
         if not la or not lb:
             return a[:0]
-        _METER_LOCAL.meter.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
+        _METER_LOCAL.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
         return self._fold(self._product(a, b))
 
     def _frob(self, a):
@@ -502,7 +480,7 @@ class _ResidueRing:
             self._map = self._binomial_map()
         dest, scale = self._map
         la, p = len(a), self.p
-        _METER_LOCAL.meter.mults += la * len(self.terms)
+        _METER_LOCAL.mults += la * len(self.terms)
         if self.backend == "numpy":
             out = np.zeros(self.n, dtype=np.int64)
             np.add.at(out, dest[:la], a * scale[:la] % p)
@@ -548,7 +526,7 @@ class _ResidueRing:
         spread[:: self.p] = a
         if size <= self.n:
             return spread
-        _METER_LOCAL.meter.mults += (size - self.n) * len(self.terms)
+        _METER_LOCAL.mults += (size - self.n) * len(self.terms)
         return self._fold(spread)
 
     def _reduce_lists(self, a: list[int]) -> list[int]:
@@ -592,7 +570,7 @@ def _gcd_raw(p: int, a: list[int], b: list[int]) -> list[int]:
         raise ZeroDivisionError("gcd(0, 0) is undefined")
     if a[-1] != 1:
         # the scaling counts one product per coefficient
-        _METER_LOCAL.meter.mults += len(a)
+        _METER_LOCAL.mults += len(a)
         inv_lead = pow(a[-1], -1, p)
         a = [c * inv_lead % p for c in a]
     return a
@@ -641,7 +619,7 @@ class PrimeField:
         return -a % self.p
 
     def mul(self, a: int, b: int) -> int:
-        _METER_LOCAL.meter.mults += 1
+        _METER_LOCAL.mults += 1
         return a * b % self.p
 
     def inv(self, a: int) -> int:
@@ -652,7 +630,7 @@ class PrimeField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        _METER_LOCAL.meter.mults += _ladder_products(e)
+        _METER_LOCAL.mults += _ladder_products(e)
         return pow(a, e, self.p)
 
     def pow_many(self, a: Sequence[int], e: int) -> np.ndarray:
@@ -670,7 +648,7 @@ class PrimeField:
         if e < 0:
             raise ValueError("exponent must be non-negative")
         p = self.p
-        _METER_LOCAL.meter.mults += len(a) * _ladder_products(e)
+        _METER_LOCAL.mults += len(a) * _ladder_products(e)
         if not _np_safe(p, 1):
             if isinstance(a, np.ndarray) and a.dtype == np.uint64:
                 reduced = a % np.uint64(p)

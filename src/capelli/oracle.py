@@ -3,11 +3,11 @@
 Two oracles with very different failure modes: the Rabin test (gcd
 conditions on Frobenius powers of x, computed in the residue ring) and
 plain trial division by every monic polynomial of at most half the degree,
-in index order. Both take polynomials over F_p. With int64-safe p, trial
-division takes one vectorized Horner remainder pass per candidate degree
-(in blocks of at most ``_TRIAL_BLOCK`` int64 entries) and calls no ``ff``
-kernel, so it shares no code with the ring and gcd that Rabin uses; at
-word-size p it divides one candidate at a time. Both carry explicit work
+in index order. Both take polynomials over F_p. Trial division takes one
+vectorized Horner remainder pass per block of candidates of one degree
+(at most ``_TRIAL_BLOCK`` entries), on int64 where its sums fit and on
+Python ints elsewhere. It calls no ``ff`` kernel, so at every p it shares
+no code with the ring and gcd that Rabin uses. Both carry explicit work
 budgets; exceeding a budget raises instead of silently degrading.
 """
 
@@ -29,7 +29,6 @@ from .ff import (
     _ladder_products,
     _np_safe,
     _pf_divmod,
-    _spreads,
     _strip,
 )
 from .intops import distinct_prime_factors, divisors, mobius
@@ -46,7 +45,7 @@ __all__ = [
 
 DEFAULT_WORK_BOUND = 10**7
 DEFAULT_ENUMERATION_BOUND = 10**4
-_TRIAL_BLOCK = 1 << 16  # int64 entries per block of trial-division candidates
+_TRIAL_BLOCK = 1 << 16  # entries per block of trial-division candidates
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,13 @@ def _doubling_chain(k: int, known) -> list[tuple[int, int]]:
     return chain[::-1]
 
 
-def _rabin_work(p: int, f: list[int], checkpoints: list[int]) -> int:
-    """An upper bound on the multiplications that rabin_test meters on f.
+def _rabin_work(ring: _ResidueRing, checkpoints: list[int]) -> int:
+    """An upper bound on the multiplications that rabin_test meters on the
+    ring's modulus f.
 
     The powers x^(p^k) on the chain are charged what the residue ring
     meters for them, with every operand at full length. A ring whose
-    Frobenius step is cheap (``ff._spreads``) takes n steps in all and no
+    Frobenius step is cheap (``spreads``) takes n steps in all and no
     products: for a binomial f = x^n - c each moves at most n coefficients
     and counts at most n*t, and otherwise each folds (p - 1)(n - 1)
     coefficients by t terms. Any other ring takes x^p on the binary ladder,
@@ -103,11 +103,10 @@ def _rabin_work(p: int, f: list[int], checkpoints: list[int]) -> int:
     scaling at most n. Reducing x modulo a linear f costs 2, and x^p is then
     a native power, charged its ladder's products.
     """
-    n = len(f) - 1
-    t, binomial = n - f[:n].count(0), not any(f[1:n])
+    p, n, t = ring.p, ring.n, len(ring.terms)
     work = (2 if n == 1 else 0) + len(checkpoints) * n * (n + 2)
-    if n > 1 and _spreads(p, n, t, binomial):
-        return work + n * (n if binomial else (p - 1) * (n - 1)) * t
+    if n > 1 and ring.spreads:
+        return work + n * (n if ring.binomial else (p - 1) * (n - 1)) * t
     step = n * n + (n - 1) * t
     s = isqrt(n - 1) + 1
     known = {1}
@@ -137,15 +136,16 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
     p = f.field.p
     fc = list(f.coeffs)
     checkpoints = sorted({n // r for r in distinct_prime_factors(n)})
+    ring = _ResidueRing(p, fc)
     if work_bound is not None:
-        estimate = _rabin_work(p, fc, checkpoints)
+        estimate = _rabin_work(ring, checkpoints)
         if estimate > work_bound:
             raise WorkBoundExceededError(
                 f"rabin_test on degree {n} over a field of {p.bit_length()}-bit order "
                 f"needs about {estimate} multiplications (bound {work_bound})"
             )
     x_red = _pf_divmod(p, [0, 1], fc)[1]
-    climb = _frobenius_climb(p, fc, x_red)
+    climb = _frobenius_climb(ring, x_red)
     for e in checkpoints:
         diff = _raw_sub(p, climb(e), x_red)
         if not diff:
@@ -159,16 +159,16 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
     return OracleVerdict(True, "rabin")
 
 
-def _frobenius_climb(p: int, fc: list[int], x_red: list[int]):
-    """A function e -> x^(p^e) mod f, to be called with ascending e.
+def _frobenius_climb(ring: _ResidueRing, x_red: list[int]):
+    """A function e -> x^(p^e) mod f in the ring modulo f, to be called with
+    ascending e.
 
-    One residue ring serves the test. Where its Frobenius step is not cheap
-    (``ff._spreads``), x^p is taken once on its ladder and each x^(p^e) by
-    compositions from the powers known so far (``_doubling_chain``).
-    Elsewhere each call climbs from the last power on the ladder,
-    h -> h^(p^(e - prev)).
+    Where the ring's Frobenius step is not cheap (``spreads``), x^p is taken
+    once on its ladder and each x^(p^e) by compositions from the powers
+    known so far (``_doubling_chain``). Elsewhere each call climbs from the
+    last power on the ladder, h -> h^(p^(e - prev)).
     """
-    ring = _ResidueRing(p, fc)
+    p = ring.p
     if not ring.spreads:
         known = {1: ring.pow(x_red, p)}
 
@@ -193,11 +193,14 @@ def _candidate_block(p: int, j: int, start: int, count: int) -> np.ndarray:
 
     Entry [i, k] is coefficient i of candidate start + k: base-p digit i of
     its index, as in ``Poly.monic_from_index``. The digits of start are
-    taken in Python and k is added with carries, so no int64 ever exceeds
-    count + p, however large p^j is.
+    taken in Python and k is added with carries, so no entry ever exceeds
+    count + p, however large p^j is. The block is int64 where
+    ``_remainders`` runs on int64 (``_np_safe(p, j)``) and holds Python
+    ints elsewhere.
     """
-    out = np.empty((j, count), dtype=np.int64)
-    carry = np.arange(count, dtype=np.int64)
+    dtype = np.int64 if _np_safe(p, j) else object
+    out = np.empty((j, count), dtype=dtype)
+    carry = np.arange(count, dtype=dtype)
     for i in range(j):
         start, digit = divmod(start, p)
         carry += digit
@@ -214,12 +217,14 @@ def _remainders(p: int, fc: list[int], low: np.ndarray) -> np.ndarray:
     the new coefficient, and subtracts top * C from every row. Only the row
     that multiplies is reduced, so top * C < p^2; a row takes at most j
     such subtractions before it is the top, so entries stay above
-    -j(p - 1)^2. Where int64 cannot hold that (``_np_safe(p, j)`` fails),
-    every row is reduced at every step. All rows are reduced at the end.
+    -j(p - 1)^2. The rows are int64 where that fits (``_np_safe(p, j)``)
+    and Python ints elsewhere, whatever the dtype of low. All rows are
+    reduced at the end.
     """
     j, count = low.shape
-    eager = not _np_safe(p, j)
-    rows = [np.full(count, c, dtype=np.int64) for c in fc[-j:]]
+    dtype = np.int64 if _np_safe(p, j) else object
+    low = low.astype(dtype, copy=False)
+    rows = [np.full(count, c, dtype=dtype) for c in fc[-j:]]
     for c in reversed(fc[:-j]):
         row = rows.pop()
         top = row % p
@@ -227,34 +232,7 @@ def _remainders(p: int, fc: list[int], low: np.ndarray) -> np.ndarray:
         rows.insert(0, row)
         for r, coeff in zip(rows, low):
             r -= top * coeff
-            if eager:
-                r %= p
     return np.array(rows) % p
-
-
-def _batched_trial_division(p: int, fc: list[int]) -> Optional[list[int]]:
-    """The first monic divisor of f of degree <= n/2 in index order, or None.
-
-    Degree by degree, in blocks of candidates, one remainder pass finds the
-    first zero remainder. Zero-constant candidates are dropped when
-    f(0) != 0, as the sequential loop skips them. Each candidate that loop
-    would have divided, up to and including the witness, is charged what
-    its division counts, (n - j + 1)(j + 1).
-    """
-    n = len(fc) - 1
-    meter = _METER_LOCAL.meter
-    for j in range(1, n // 2 + 1):
-        total, step = p**j, max(1, _TRIAL_BLOCK // j)
-        for start in range(0, total, step):
-            low = _candidate_block(p, j, start, min(step, total - start))
-            if fc[0]:
-                low = low[:, low[0] != 0]
-            hits = np.flatnonzero(~_remainders(p, fc, low).any(axis=0))
-            tried = int(hits[0]) + 1 if hits.size else low.shape[1]
-            meter.mults += tried * (n - j + 1) * (j + 1)
-            if hits.size:
-                return low[:, hits[0]].tolist() + [1]
-    return None
 
 
 def trial_division_test(
@@ -265,40 +243,39 @@ def trial_division_test(
     Deliberately the dumbest possible oracle. Candidates are tried in
     ascending degree and, within a degree, in ``Poly.monic_from_index``
     order; zero-constant candidates are skipped when f(0) != 0. Returns the
-    first divisor found as a witness. With ``_np_safe(p, 1)`` each degree is
-    one vectorized remainder pass (see ``_batched_trial_division``) that
-    shares no kernel with Rabin's residue ring and gcd; at word-size p each
-    candidate is divided in turn by ``_pf_divmod``. Both routes give the
-    same verdict, witness and metered work.
+    first divisor found as a witness. Degree by degree, in blocks of at
+    most ``_TRIAL_BLOCK`` entries, one remainder pass (``_remainders``)
+    finds the first zero remainder, at every p. It calls no ``ff`` kernel,
+    so it shares no code with the ring and gcd that Rabin uses. Each
+    candidate up to and including the witness is charged what dividing f
+    by it counts, (n - j + 1)(j + 1) for degree j.
     """
     n = f.degree
     if n < 1:
         raise ValueError("trial_division_test requires degree >= 1")
     if n == 1:
         return OracleVerdict(True, "trial-division")
-    K = f.field
-    p = K.p
-    half = n // 2
+    p = f.field.p
     if work_bound is not None:
-        estimate = sum(p**j * (n - j + 1) * (j + 1) for j in range(1, half + 1))
+        estimate = sum(p**j * (n - j + 1) * (j + 1) for j in range(1, n // 2 + 1))
         if estimate > work_bound:
             raise WorkBoundExceededError(
                 f"trial division over order-{p} field at degree {n} needs about "
                 f"{estimate} multiplications (bound {work_bound})"
             )
     fc = list(f.coeffs)
-    if _np_safe(p, 1):
-        witness = _batched_trial_division(p, fc)
-        if witness is None:
-            return OracleVerdict(True, "trial-division")
-        return OracleVerdict(False, "trial-division", witness=Poly(K, witness))
-    for j in range(1, half + 1):
-        for idx in range(p**j):
-            cand = Poly.monic_from_index(K, j, idx).coeffs
-            if fc[0] and not cand[0]:
-                continue
-            if not _pf_divmod(p, fc, list(cand))[1]:
-                return OracleVerdict(False, "trial-division", witness=Poly(K, cand))
+    for j in range(1, n // 2 + 1):
+        total, step = p**j, max(1, _TRIAL_BLOCK // j)
+        for start in range(0, total, step):
+            low = _candidate_block(p, j, start, min(step, total - start))
+            if fc[0]:
+                low = low[:, low[0] != 0]
+            hits = np.flatnonzero((_remainders(p, fc, low) == 0).all(axis=0))
+            tried = int(hits[0]) + 1 if hits.size else low.shape[1]
+            _METER_LOCAL.mults += tried * (n - j + 1) * (j + 1)
+            if hits.size:
+                witness = Poly(f.field, low[:, hits[0]].tolist() + [1])
+                return OracleVerdict(False, "trial-division", witness=witness)
     return OracleVerdict(True, "trial-division")
 
 

@@ -151,6 +151,11 @@ def test_decide_xd_examples():
             decide_xd_minus_alpha(field, field.zero, 3)
         with pytest.raises(ValueError):
             decide_xd_minus_alpha(field, alpha, 0)
+    # values that are not reduced raw values: 7 = 0 in F_7, (3, 0) = 0 in F_9, a
+    # list, and a tuple of the wrong length
+    for field, alpha, d in ((F7, 7, 3), (F9, (3, 0), 2), (F9, [0, 0], 2), (F9, (1, 1, 0), 2)):
+        with pytest.raises(ValueError):
+            decide_xd_minus_alpha(field, alpha, d)
 
 
 def _random_field(p, k, seed):

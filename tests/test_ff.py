@@ -408,11 +408,10 @@ def test_ring_mul_and_reduce_match_schoolbook(p, n, data):
 
 
 @pytest.mark.parametrize("p", [2, 13, 65521, 2**61 - 1])
-def test_prime_field_product_and_division_match_generic_kernels_at_the_crossover(p):
-    """Lengths 63 to 67 straddle the crossover: a product whose shorter factor,
-    or a division whose divisor, has degree above _LISTS_MAX_DEG runs on numpy
-    where int64 holds (not at p = 2^61 - 1). Both routes give the generic
-    kernels' answer and meter the same model."""
+def test_prime_field_product_and_division_match_generic_kernels(p):
+    """The schoolbook kernels on int lists, at lengths 63 to 67 around the
+    residue ring's lists/numpy crossover, give the generic kernels' answer
+    and meter the model, at every p."""
     K = PrimeField(p)
     rng = random.Random(p)
 
@@ -763,8 +762,9 @@ def test_composition_chain_reaches_the_frobenius_powers_of_x(case, ks):
     equals the ring's own ladder."""
     p, f = case
     K = PrimeField(p)
-    with patch("capelli.ff._spreads", return_value=False):
-        climb = _frobenius_climb(p, f, _gen_divmod(K, [0, 1], f)[1])
+    composing = _ResidueRing(p, f)
+    composing.spreads = False
+    climb = _frobenius_climb(composing, _gen_divmod(K, [0, 1], f)[1])
     ring = _ResidueRing(p, f)
     for k in sorted(ks):
         assert climb(k) == ring.pow([0, 1], p**k)
@@ -872,6 +872,6 @@ def test_rabin_estimate_covers_its_ladder_and_rabin_agrees_with_trial_division(c
     checkpoints = sorted({n // r for r in distinct_prime_factors(n)})
     with count_mults() as work:
         verdict = rabin_test(Poly(K, f), work_bound=None)
-    assert work() <= _rabin_work(p, f, checkpoints)
+    assert work() <= _rabin_work(_ResidueRing(p, f), checkpoints)
     if p ** (n // 2) <= 2500:
         assert trial_division_test(Poly(K, f), work_bound=None).irreducible == verdict.irreducible

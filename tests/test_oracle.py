@@ -230,15 +230,21 @@ def test_batched_trial_division_spans_several_blocks():
 
 
 def test_batched_trial_division_calls_no_ff_kernel():
-    f = Poly(F5, [1, 0, 2, 0, 0, 3, 1]) * Poly(F5, [2, 0, 1])
-    with patch("capelli.ff._pf_divmod", side_effect=AssertionError), patch.object(
-        oracle, "_pf_divmod", side_effect=AssertionError
-    ), patch("capelli.ff._ResidueRing", side_effect=AssertionError):
-        verdict = trial_division_test(f)
-    assert verdict.witness == Poly(F5, [2, 0, 1])
+    """At p = 5 and at word-size p, where the witness is linear so the search
+    stops in its first block."""
+    for p, witness in ((5, [2, 0, 1]), (2**61 - 1, [3, 1])):
+        K = PrimeField(p)
+        f = Poly(K, [1, 0, 2, 0, 0, 3, 1]) * Poly(K, witness)
+        with patch("capelli.ff._pf_divmod", side_effect=AssertionError), patch.object(
+            oracle, "_pf_divmod", side_effect=AssertionError
+        ), patch("capelli.ff._ResidueRing", side_effect=AssertionError), patch.object(
+            oracle, "_ResidueRing", side_effect=AssertionError
+        ):
+            verdict = trial_division_test(f, work_bound=None)
+        assert verdict.witness == Poly(K, witness)
 
 
-# the largest prime for which the batched trial division runs
+# the largest prime at which degree-1 candidates divide on int64
 _LARGEST_NP_SAFE_P = next(q for q in range(1_518_500_250, 0, -1) if _np_safe(q, 1) and is_prime(q))
 
 
@@ -269,9 +275,10 @@ def test_remainder_pass_matches_division_up_to_the_int64_limit(p):
 
 @pytest.mark.parametrize("j", [2, 6, 12])
 def test_remainder_pass_reduces_lazily_up_to_its_int64_bound(j):
-    """Rows take up to j subtractions between reductions while ``_np_safe(p, j)``
-    holds, and are reduced at every step above it: at the largest such p and
-    the next prime, the pass equals ``_pf_divmod`` on every candidate."""
+    """Rows take up to j subtractions between reductions, on int64 while
+    ``_np_safe(p, j)`` holds and on Python ints above it, from the same int64
+    block: at the largest such p and the next prime, the pass equals
+    ``_pf_divmod`` on every candidate."""
     below = next(q for q in range(isqrt((1 << 62) // (j + 1)) + 2, 0, -1)
                  if _np_safe(q, j) and is_prime(q))
     above = next(q for q in range(below + 1, 2 * below) if is_prime(q))
@@ -292,19 +299,19 @@ def test_batched_trial_division_at_a_large_int64_safe_p():
     assert trial_division_test(f, work_bound=None).witness == Poly(K, [5, 1])
 
 
-def test_trial_division_keeps_the_loop_where_int64_does_not_serve():
-    """Word-size p divides one candidate at a time."""
+def test_batched_trial_division_at_word_size_p_matches_the_loop():
+    """Where int64 does not serve, the remainder pass runs on Python ints and
+    gives the per-candidate loop's verdict, witness and metered work."""
     W = PrimeField(2**61 - 1)
     witnessed = {
         Poly(W, [3, 1]) * Poly(W, [W.p - 1, 1]): Poly(W, [3, 1]),
         Poly(W, [0, 1]) * Poly(W, [7, 1]): Poly(W, [0, 1]),
         Poly(W, [2, 1]) * Poly(W, [1, 0, 1]): Poly(W, [2, 1]),  # x^2 + 1 is irreducible
     }
-    with patch.object(oracle, "_batched_trial_division", side_effect=AssertionError):
-        for f, witness in witnessed.items():
-            assert not rabin_test(f, work_bound=None).irreducible
-            assert trial_division_test(f, work_bound=None).witness == witness
-            assert _sequential_trial_division(f)[0] == witness
+    for f, witness in witnessed.items():
+        assert not rabin_test(f, work_bound=None).irreducible
+        assert _sequential_trial_division(f)[0] == witness
+        _assert_trial_division_matches_loop(f)
 
 
 def test_witness_is_proper_factor():
