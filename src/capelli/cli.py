@@ -484,7 +484,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("error: out of memory; a --work-bound refuses such sizes up front", file=sys.stderr)
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

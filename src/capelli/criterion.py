@@ -31,7 +31,8 @@ deciding at its base.
 
 ``decide_many`` decides x^d - alpha for a batch of alpha in one field, as
 the census and Monte Carlo need: the shortcuts and the residue plan once,
-then one vectorized ladder per prime d' dividing d.
+then one vectorized ladder to beta = alpha^((q-1)/R), R the product of the
+primes d' dividing d, and each d'-th power test as beta^(R/d') = 1.
 
 Accepted tower steps record every residue test performed. Replay decides
 each step again without descent, raising alpha itself in F with the residue
@@ -266,10 +267,16 @@ def decide_many(field: Union[PrimeField, ExtensionField], d: int, values) -> np.
 
     ``values`` holds nonzero raw values of ``field``: ints over F_p, an
     (N, m) array or m-tuples over F_{p^m}. Returns a bool mask of length N.
-    The whole-field shortcuts and the residue plan are worked out once, and
-    each planned d'-th power test runs as one ladder over the values not
-    yet found reducible (``field.pow_many``); no Verdict is built.
-    ``decide_xd_minus_alpha`` stays the per-alpha reference.
+    The whole-field shortcuts and the residue plan are worked out once; no
+    Verdict is built. ``decide_xd_minus_alpha`` stays the per-alpha
+    reference.
+
+    With no shortcut, every prime r of the plan divides q - 1, and so does
+    their product R. One ladder over the whole batch (``field.pow_many``)
+    raises each alpha to beta = alpha^((q-1)/R). Each d'-th power test then
+    runs in plan order on the values not yet found reducible, as
+    beta^(R/r) == 1, which is alpha^((q-1)/r) == 1; a short ladder of
+    R/r, or none where R = r.
 
     The fourth-power test is not run: it cannot change the mask. When 4 | d
     and no shortcut applies, q = 1 mod 4, so -4 = (1 + i)^4 is a fourth
@@ -278,18 +285,19 @@ def decide_many(field: Union[PrimeField, ExtensionField], d: int, values) -> np.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
-    # the values as the field's batch array, packed once: later ladders take its rows as they are
-    batch = field.pow_many(values, 1)
-    if _equal_many(batch, field.zero).any():
+    q1 = field.order_minus_one
+    shortcut = d > 1 and reducibility_shortcuts(field.p, field.degree, d) is not None
+    primes = [] if d == 1 or shortcut else [r for r, _ in _residue_plan(q1, d)[0]]
+    R = math.prod(primes)
+    # one ladder over the whole batch, or with no test to run just the values, packed;
+    # alpha^e = 0 exactly when alpha = 0, as e >= 1
+    beta = field.pow_many(values, q1 // R if primes else 1)
+    if _equal_many(beta, field.zero).any():
         raise ValueError("alpha must be nonzero (x^d is trivially reducible for d >= 2)")
-    mask = np.ones(len(batch), dtype=bool)
-    if d == 1:
-        return mask
-    if reducibility_shortcuts(field.p, field.degree, d) is not None:
-        return ~mask
-    plan, _ = _residue_plan(field.order_minus_one, d)
-    for _, exponent in plan:
-        mask[mask] = ~_equal_many(field.pow_many(batch[mask], exponent), field.one)
+    mask = np.full(len(beta), not shortcut)
+    for r in primes:
+        powers = beta[mask] if R == r else field.pow_many(beta[mask], R // r)
+        mask[mask] = ~_equal_many(powers, field.one)
     return mask
 
 

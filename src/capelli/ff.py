@@ -150,10 +150,10 @@ _U32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _mulhi(x, y):
-    """High 64 bits of the 128-bit products x*y of uint64 arrays or scalars."""
+def _mulhi(x, y0, y1):
+    """High 64 bits of the 128-bit products x*y of uint64 arrays or scalars,
+    given y's 32-bit halves y0 = y & (2^32 - 1) and y1 = y >> 32."""
     x0, x1 = x & _LOW32, x >> _U32
-    y0, y1 = y & _LOW32, y >> _U32
     low = x0 * y0
     mid = x1 * y0 + (low >> _U32)
     mid2 = x0 * y1 + (mid & _LOW32)
@@ -165,24 +165,33 @@ def _montgomery_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     e >= 1: one square-and-multiply ladder in Montgomery form, R = 2^64.
 
     A value v is held as vR mod p. The product of two held values is
-    REDC(x*y) = x*y/R mod p (Montgomery, Math. Comp. 44, 1985), from the
-    128-bit (hi, lo) of x*y and m = lo*N' mod R with N' = -p^-1 mod R.
+    REDC(x*y) = (x*y + m*p)/R = x*y/R mod p (Montgomery, Math. Comp. 44,
+    1985), from the 128-bit (hi, lo) of x*y and m = lo*N' mod R with
+    N' = -p^-1 mod R. When 4p <= R, held values stay lazy, in [0, 2p): then
+    x*y < 4p^2 <= pR, so REDC is below 2p with no subtraction. The final
+    REDC(r*1), r < 2p, is at most p, and p only where r = 0 mod p; but zero
+    is held as 0 throughout (REDC of 0 is 0), so the result needs no
+    subtraction either. For p > 2^62 every REDC subtracts p when its sum
+    reaches p, so held values stay in [0, p).
     """
     P = np.uint64(p)
+    p0, p1 = P & _LOW32, P >> _U32
     n_prime = np.uint64(-pow(p, -1, 1 << 64) % (1 << 64))
+    lazy = 4 * p <= 1 << 64
 
     def mul(x, y):
         lo = x * y  # wraps mod R
         m = lo * n_prime
         # lo + low(m*p) = 0 mod R carries into the high half exactly when lo != 0;
-        # hi < p - 1, so adding the carry cannot wrap
-        hi = _mulhi(x, y) + (lo != 0)
+        # hi < p, so adding the carry cannot wrap
+        hi = _mulhi(x, y & _LOW32, y >> _U32) + (lo != 0)
+        t = hi + _mulhi(m, p0, p1)
+        if lazy:
+            return t
         # the true sum is below 2p, so for p >= 2^63 it may wrap past 2^64
-        t = hi + _mulhi(m, P)
         return np.where((t < hi) | (t >= P), t - P, t)
 
-    r = _ladder(mul(a, np.uint64((1 << 128) % p)), e, mul)
-    return mul(r, np.uint64(1))
+    return mul(_ladder(mul(a, np.uint64((1 << 128) % p)), e, mul), np.uint64(1))
 
 
 def _strip(coeffs: list, zero) -> list:

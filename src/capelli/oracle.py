@@ -5,10 +5,12 @@ conditions on Frobenius powers of x, computed in the residue ring) and
 plain trial division by every monic polynomial of at most half the degree,
 in index order. Both take polynomials over F_p. Trial division takes one
 vectorized Horner remainder pass per block of candidates of one degree
-(at most ``_TRIAL_BLOCK`` entries), on int64 where its sums fit and on
-Python ints elsewhere. It calls no ``ff`` kernel, so at every p it shares
-no code with the ring and gcd that Rabin uses. Both carry explicit work
-budgets; exceeding a budget raises instead of silently degrading.
+(at most ``_TRIAL_BLOCK`` entries; where a degree needs more than one,
+the first holds 1/16 of that and each next one twice the last), on int64
+where its sums fit and on Python ints elsewhere. It calls no ``ff``
+kernel, so at every p it shares no code with the ring and gcd that Rabin
+uses. Both carry explicit work budgets; exceeding a budget raises instead
+of silently degrading.
 """
 
 from __future__ import annotations
@@ -243,12 +245,15 @@ def trial_division_test(
     Deliberately the dumbest possible oracle. Candidates are tried in
     ascending degree and, within a degree, in ``Poly.monic_from_index``
     order; zero-constant candidates are skipped when f(0) != 0. Returns the
-    first divisor found as a witness. Degree by degree, in blocks of at
-    most ``_TRIAL_BLOCK`` entries, one remainder pass (``_remainders``)
-    finds the first zero remainder, at every p. It calls no ``ff`` kernel,
-    so it shares no code with the ring and gcd that Rabin uses. Each
-    candidate up to and including the witness is charged what dividing f
-    by it counts, (n - j + 1)(j + 1) for degree j.
+    first divisor found as a witness. Degree by degree, in blocks of
+    candidates, one remainder pass (``_remainders``) finds the first zero
+    remainder, at every p. A degree-j block holds at most ``_TRIAL_BLOCK``
+    entries, j per candidate. A degree whose candidates fit in one block
+    takes them in one pass; a longer one starts at 1/16 of a block and
+    doubles, so an early witness among p^j candidates costs a small block.
+    It calls no ``ff`` kernel, so it shares no code with the ring and gcd
+    that Rabin uses. Each candidate up to and including the witness is
+    charged what dividing f by it counts, (n - j + 1)(j + 1) for degree j.
     """
     n = f.degree
     if n < 1:
@@ -265,9 +270,11 @@ def trial_division_test(
             )
     fc = list(f.coeffs)
     for j in range(1, n // 2 + 1):
-        total, step = p**j, max(1, _TRIAL_BLOCK // j)
-        for start in range(0, total, step):
+        total, largest = p**j, max(1, _TRIAL_BLOCK // j)
+        start, step = 0, largest if total <= largest else max(1, largest // 16)
+        while start < total:
             low = _candidate_block(p, j, start, min(step, total - start))
+            start, step = start + step, min(2 * step, largest)
             if fc[0]:
                 low = low[:, low[0] != 0]
             hits = np.flatnonzero((_remainders(p, fc, low) == 0).all(axis=0))

@@ -3,7 +3,8 @@
 Canonical text is descending powers joined by "+", coefficients already
 reduced mod p, constant last: "x^6+x^3+1", "2x^2+x", "5", "0". Parsing is
 more liberal: optional "*", optional whitespace, "-" signs. Coefficients
-with absolute value >= p are rejected rather than silently reduced.
+with absolute value >= p are rejected rather than silently reduced, and so
+is a power of x above ``MAX_DEGREE``, before any coefficient list is built.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from .errors import PolyParseError
 from .ff import Poly, PrimeField
 
 __all__ = ["render_poly", "parse_poly", "parse_coeff_array"]
+
+# The largest degree ``parse_poly`` accepts. A few bytes of text name a dense
+# coefficient list of degree + 1 slots, 8 bytes each: 134 MB at 2^24. The
+# bound admits every tower that replay checks under the default work bound,
+# which refuses a final degree above 10^7.
+MAX_DEGREE = 1 << 24
 
 _TERM_RE = re.compile(r"^([+-]?)(\d+)?(?:(\*)?(x)(?:\^(\d+))?)?$")
 
@@ -37,7 +44,11 @@ def render_poly(f: Poly) -> str:
 
 
 def parse_poly(text: str, field: PrimeField) -> Poly:
-    """Parse the text form; inverse of render_poly on canonical strings."""
+    """Parse the text form; inverse of render_poly on canonical strings.
+
+    A power of x above ``MAX_DEGREE`` raises ``PolyParseError`` before the
+    coefficient list is allocated.
+    """
     if not isinstance(field, PrimeField):
         raise ValueError("parsing targets a prime field")
     s = re.sub(r"\s+", "", text)
@@ -63,6 +74,10 @@ def parse_poly(text: str, field: PrimeField) -> Poly:
         power = 0
         if xpart is not None:
             power = int(exp) if exp is not None else 1
+            if power > MAX_DEGREE:
+                raise PolyParseError(
+                    f"degree {power} exceeds the largest parsed degree {MAX_DEGREE}"
+                )
         coeffs[power] = coeffs.get(power, 0) + coef
     out = [0] * (max(coeffs) + 1)
     for power, c in coeffs.items():
@@ -71,7 +86,12 @@ def parse_poly(text: str, field: PrimeField) -> Poly:
 
 
 def parse_coeff_array(text: str, field: PrimeField) -> Poly:
-    """Parse a JSON array of little-endian coefficients (index = power)."""
+    """Parse a JSON array of little-endian coefficients (index = power).
+
+    Unlike the text form, an array names each coefficient, so what it
+    allocates grows in proportion to the input text; it takes no degree
+    bound.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -4,11 +4,12 @@ Three independent routes to the same quantity keep each other honest: the
 closed product formula (zero when the whole-field shortcuts apply), the
 union lower bound, and an exhaustive census. The census decides every unit
 in one batch (``criterion.decide_many``: the shortcuts and the residue plan
-once, then one vectorized ladder per prime d' | d) and counts the
-mask. A random subsample then checks each sampled mask entry against the
-per-alpha ``decide_xd_minus_alpha``, which stays the reference, and
-against the Rabin oracle over F_p on b(x^d), b the minimal polynomial of
-alpha (``_oracle_verdict``). A seeded Monte Carlo estimator rounds out the
+once, one vectorized ladder to alpha^((q-1)/R), R the product of the
+primes d' | d, then a short one per d') and counts the mask. A random
+subsample then checks each sampled mask entry against the per-alpha
+``decide_xd_minus_alpha``, which stays the reference, and against the
+Rabin oracle over F_p on b(x^d), b the minimal polynomial of alpha
+(``_oracle_verdict``). A seeded Monte Carlo estimator rounds out the
 empirical side; it draws alpha in the same order as a per-alpha loop and
 decides them in batches.
 

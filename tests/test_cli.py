@@ -394,6 +394,14 @@ def test_test_and_bench_refuse_to_compose_above_the_work_bound(capsys):
             assert code == 2 and "above the work bound" in err, argv
 
 
+def test_poly_text_above_the_parse_bound_exits_2(capsys):
+    """Degree 10^8 in --poly is refused by the parser, not by MemoryError."""
+    with patch("capelli.polytext.Poly", side_effect=AssertionError):
+        code, _, err = run_cli(capsys, "test", "-p", "2", "--poly", "x^100000000+x+1", "-d", "3")
+    assert code == 2
+    assert err == "error: degree 100000000 exceeds the largest parsed degree 16777216\n"
+
+
 def test_memory_error_exits_2_with_one_line(capsys):
     for argv in (
         ["test", "-p", "2", "--poly", "x^2+x+1", "-d", "3", "--oracle"],

@@ -191,7 +191,9 @@ BATCH_FIELDS = (
 def test_decide_many_matches_per_alpha_verdicts(data):
     p, k = data.draw(st.sampled_from(BATCH_FIELDS), label="p, k")
     F = _random_field(p, k, data.draw(st.integers(0, 2**16), label="modulus seed"))
-    d = data.draw(st.one_of(st.integers(1, 24), st.sampled_from([4, 8, 12, 16, 20, 24])))
+    # 30, 60 and 210 have three and four prime factors, so R / r is composite
+    d = data.draw(st.one_of(st.integers(1, 24), st.sampled_from([4, 8, 12, 16, 20, 24]),
+                            st.sampled_from([30, 60, 210])))
     indices = data.draw(st.lists(st.integers(1, F.order - 1), max_size=40), label="indices")
     values = [F.from_index(i) for i in indices]
     assert decide_many(F, d, values).tolist() == _per_alpha_mask(F, d, values)
@@ -210,15 +212,30 @@ def test_decide_many_matches_per_alpha_on_every_unit(q):
 
 @pytest.mark.parametrize("p", [1000003, 2**61 - 1])
 def test_per_alpha_and_batched_decisions_meter_the_same_powers(p):
-    """A power in F_p meters the binary ladder's products on either route:
-    ``PrimeField.pow`` per alpha, ``pow_many`` on the int64 or Montgomery
-    batch."""
-    K, values = PrimeField(p), list(range(1, 301))
+    """A power a^e in F_p meters the binary ladder's L(e) products on either
+    route. Per alpha, each test runs its own ladder of (q-1)/r. The batch
+    runs one ladder of (q-1)/R over every value, R = 6 the product of the
+    plan's primes, then one of R/r per test over the values still in the
+    mask."""
+
+    def ladder(e):
+        return max(0, e.bit_length() + e.bit_count() - 2)
+
+    K, values, plan = PrimeField(p), list(range(1, 301)), (2, 3)
+    reached = dict.fromkeys(plan, 0)  # values that reach each test, in plan order
+    for v in values:
+        for r in plan:
+            reached[r] += 1
+            if pow(v, (p - 1) // r, p) == 1:
+                break
     with count_mults() as per_alpha:
         mask = _per_alpha_mask(K, 6, values)
     with count_mults() as batched:
         assert decide_many(K, 6, values).tolist() == mask
-    assert per_alpha() == batched() > 0
+    assert per_alpha() == sum(n * ladder((p - 1) // r) for r, n in reached.items())
+    assert batched() == len(values) * ladder((p - 1) // 6) + sum(
+        n * ladder(6 // r) for r, n in reached.items())
+    assert 0 < batched() < per_alpha()
 
 
 @given(data=st.data())

@@ -520,9 +520,12 @@ def test_prime_field_pow_many_matches_pow_and_counts(p):
         assert work() == len(values) * max(0, e.bit_length() + e.bit_count() - 2)
 
 
-# 1,518,500,213 is the last prime with int64 headroom, 1,518,500,279 the first without
+# 1,518,500,213 is the last prime with int64 headroom, 1,518,500,279 the first without;
+# 2^62 - 57 is the last prime whose ladder keeps lazy values in [0, 2p), 2^62 + 135
+# the first that reduces every product fully
 MONTGOMERY_PRIMES = st.one_of(
-    st.sampled_from([1518500279, 2**61 - 1, 2**63 - 25, 2**63 + 29, 2**64 - 59]),
+    st.sampled_from([1518500279, 2**61 - 1, 2**62 - 57, 2**62 + 135, 2**63 - 25, 2**63 + 29,
+                     2**64 - 59]),
     # primes in (2^63, 2^64), where the REDC sum can wrap past 2^64
     st.integers(2**63, 2**64 - 60).map(lambda n: next(q for q in range(n, 2**64) if is_prime(q))),
 )

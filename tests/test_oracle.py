@@ -244,6 +244,46 @@ def test_batched_trial_division_calls_no_ff_kernel():
         assert verdict.witness == Poly(K, witness)
 
 
+def _blocks_built(f, trial_block):
+    """(degree, start, count) of each candidate block trial division builds on f."""
+    blocks = []
+    build = oracle._candidate_block
+
+    def recording(p, j, start, count):
+        blocks.append((j, start, count))
+        return build(p, j, start, count)
+
+    with patch.object(oracle, "_TRIAL_BLOCK", trial_block), patch.object(
+            oracle, "_candidate_block", recording):
+        verdict = trial_division_test(f, work_bound=None)
+    return verdict, blocks
+
+
+def test_early_witness_builds_one_first_size_block():
+    """A witness among the first candidates costs one block of 1/16 of the
+    largest, also at word-size p where the block holds Python ints."""
+    W = PrimeField(2**61 - 1)
+    verdict, blocks = _blocks_built(Poly(W, [3, 1]) * Poly(W, [W.p - 1, 1]), oracle._TRIAL_BLOCK)
+    assert verdict.witness == Poly(W, [3, 1])
+    assert blocks == [(1, 0, oracle._TRIAL_BLOCK // 16)]
+
+
+def test_trial_division_blocks_double_up_to_the_largest():
+    """Block sizes of one degree: all p^j candidates at once where they fit
+    in ``_TRIAL_BLOCK // j``; otherwise 1/16 of that first, then doubling up
+    to it, the last block cut at p^j. The blocks tile the candidates in
+    order."""
+    # irreducible, so every candidate is tried
+    verdict, blocks = _blocks_built(Poly(PrimeField(5), [2, 1, 0, 0, 0, 0, 1]), 64)
+    assert verdict.irreducible
+    sizes = {}
+    for j, start, count in blocks:
+        assert start == sum(sizes.setdefault(j, []))
+        sizes[j].append(count)
+    # largest blocks 64, 32 and 21 candidates: 5 and 25 fit, 125 do not
+    assert sizes == {1: [5], 2: [25], 3: [1, 2, 4, 8, 16, 21, 21, 21, 21, 10]}
+
+
 # the largest prime at which degree-1 candidates divide on int64
 _LARGEST_NP_SAFE_P = next(q for q in range(1_518_500_250, 0, -1) if _np_safe(q, 1) and is_prime(q))
 

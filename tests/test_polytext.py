@@ -1,10 +1,13 @@
 """Polynomial text form: canonical rendering and liberal parsing."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from capelli import Poly, PolyParseError, PrimeField, parse_coeff_array, parse_poly, render_poly
+from capelli.oracle import DEFAULT_WORK_BOUND
+from capelli.polytext import MAX_DEGREE
 
 
 def test_render_examples():
@@ -42,6 +45,23 @@ def test_parse_rejects_garbage():
     for bad in ("", "  ", "x^", "2**x", "y+1", "x^2++1", "1.5x", "*x"):
         with pytest.raises(PolyParseError):
             parse_poly(bad, F3)
+
+
+def test_parse_refuses_a_degree_above_the_bound_before_it_allocates():
+    """The bound admits every final degree that replay checks under the
+    default work bound; one past it raises with no coefficient list built."""
+    F2 = PrimeField(2)
+    assert MAX_DEGREE >= DEFAULT_WORK_BOUND
+    assert parse_poly("x^7442+x+1", F2).degree == 7442
+    tracemalloc.start()
+    try:
+        for text in (f"x^{MAX_DEGREE + 1}+1", "x+x^100000000"):
+            with pytest.raises(PolyParseError, match="largest parsed degree"):
+                parse_poly(text, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_roundtrip_random():

@@ -239,4 +239,4 @@ def test_census_and_monte_carlo_work_pinned():
         census = exhaustive_census(3, 6, 4, oracle_fraction=0)
         sample = monte_carlo_estimate(2**61 - 1, 1, 6, 30000, seed=7)
     assert (census.irreducible_count, sample.successes) == (364, 9834)
-    assert work() == 5_249_072
+    assert work() == 3_086_948
