@@ -47,9 +47,11 @@ power takes r = 2 and squares.
 
 The ring also composes, g(h) mod f, by Brent and Kung's baby steps and
 giant steps in about 2 sqrt(n) products (``compose``). Where a ring's
-Frobenius step is not cheap, the Rabin oracle takes x^p once on the ladder
-and reaches each x^(p^k) by compositions, since x^(p^(i+j)) = x^(p^i)
-composed with x^(p^j) mod f (von zur Gathen and Shoup, 1992).
+Frobenius step is cheap, the Rabin oracle reaches each x^(p^k) by
+Frobenius steps alone (``frobenius_steps``). Elsewhere it takes x^p once
+on the ladder and reaches each x^(p^k) by compositions, since
+x^(p^(i+j)) = x^(p^i) composed with x^(p^j) mod f (von zur Gathen and
+Shoup, 1992).
 
 A per-thread work meter tallies coefficient multiplications by a fixed
 model of the operand sizes (see ``count_mults``), never by what a backend
@@ -245,8 +247,17 @@ def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
 
 
 def _trim_np(r: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(r)
+    if r.shape[0] and r[-1]:
+        return r
+    nz = (r != 0).nonzero()[0]  # several times faster on bools than on int64
     return r[: nz[-1] + 1] if nz.size else r[:0]
+
+
+def _mod_np(r: np.ndarray, p: int) -> np.ndarray:
+    # r % p, in place: numpy's int64 floor division by a scalar runs several
+    # times faster than its remainder on long arrays
+    r -= r // p * p
+    return r
 
 
 def _spreads(p: int, n: int, t: int, binomial: bool) -> bool:
@@ -330,8 +341,10 @@ class _ResidueRing:
     schoolbook ``_product_lists`` or ``np.convolve``, and ``_reduce_lists``
     or ``_reduce_np``. Both folds rewrite x^n as low(x) = x^n - f, whose t
     nonzero terms are ``terms``: lists fold one quotient coefficient at a
-    time from the top, t adds each; numpy folds the whole high part at once
-    when low has few terms. Building a ring is O(n). ``_mul`` and ``_frob``
+    time from the top, t adds each. When low has few terms, numpy folds in
+    place from the top, one block of n - deg(low) coefficients at a time,
+    t vector adds each; otherwise one coefficient at a time, adding its
+    multiple of low. Building a ring is O(n). ``_mul`` and ``_frob``
     meter the same work on either backend (see ``count_mults``). The ladder
     in ``pow`` follows from (p, n, t) and whether f is a binomial x^n - c,
     by ``_spreads``; a binomial ring builds its Frobenius map on its first
@@ -401,6 +414,18 @@ class _ResidueRing:
             r = _ladder(base, e, self._mul, self.p, self._frob)
         else:
             r = _ladder(base, e, self._mul)
+        return r.tolist() if numpy else r
+
+    def frobenius_steps(self, a: list[int], k: int) -> list[int]:
+        """a^(p^k) mod f for reduced a, by k Frobenius steps: the radix-p
+        ladder of ``pow(a, p**k)``, without building p^k. For n = 1 it is
+        that native power, charged its ladder's products."""
+        if self.n == 1:
+            return self.pow(a, self.p**k)
+        numpy = self.backend == "numpy"
+        r = np.asarray(a, dtype=np.int64) if numpy else a
+        for _ in range(k):
+            r = self._frob(r)
         return r.tolist() if numpy else r
 
     def compose(self, g: list[int], h: list[int]) -> list[int]:
@@ -554,15 +579,21 @@ class _ResidueRing:
     def _reduce_np(self, r: np.ndarray) -> np.ndarray:
         # r: entries in [0, p); consumed
         p, n = self.p, self.n
-        if self._sparse:
-            while r.shape[0] > n:
-                hi = r[n:]
-                acc = np.zeros(max(n, hi.shape[0] + self._maxnz), dtype=np.int64)
-                acc[:n] = r[:n]
-                for j, c in self.terms:
-                    acc[j : j + hi.shape[0]] += hi * c
-                r = _trim_np(acc % p)
+        if r.shape[0] <= n:
             return r
+        if self._sparse:
+            # in place, from the top, w = n - maxnz coefficients at a time: x^k
+            # for k in the block [lo, top) lands at k - n + j <= k - w < lo, so
+            # below the block. Each entry takes at most one add per term, so
+            # sums stay below p + t(p - 1)^2, inside _np_safe(p, n + 1)
+            w, top = n - self._maxnz, r.shape[0]
+            while top > n:
+                lo = max(n, top - w)
+                block = _mod_np(r[lo:top], p)
+                for j, c in self.terms:
+                    r[lo - n + j : top - n + j] += block if c == 1 else block * c
+                top = lo
+            return _trim_np(_mod_np(r[:n], p))
         low = self._low_np
         for k in range(r.shape[0] - 1, n - 1, -1):
             c = r[k]
@@ -649,10 +680,11 @@ class PrimeField:
         (``_np_safe(p, 1)``). For larger p it runs in Montgomery form on a
         uint64 array (``_montgomery_pow``), after reducing each value mod
         p, one block of at most ``_MONTGOMERY_BLOCK`` values at a time; a
-        uint64 array, such as an earlier result, is reduced without leaving
-        numpy. Each step counts len(a) products, as a power in a
-        residue ring of degree 1 does; the conversions into and out of
-        Montgomery form are not steps and count nothing.
+        uint64 array, such as an earlier result, and Python ints in
+        [0, 2^64) are reduced without a Python loop. Each step counts
+        len(a) products, as a power in a residue ring of degree 1 does; the
+        conversions into and out of Montgomery form are not steps and count
+        nothing.
         """
         if e < 0:
             raise ValueError("exponent must be non-negative")
@@ -662,7 +694,14 @@ class PrimeField:
             if isinstance(a, np.ndarray) and a.dtype == np.uint64:
                 reduced = a % np.uint64(p)
             else:
-                reduced = np.fromiter((int(v) % p for v in a), dtype=np.uint64, count=len(a))
+                # packed in one call; numpy refuses an int below 0 or from 2^64
+                # up, and then each value is reduced in Python
+                values = a.tolist() if isinstance(a, np.ndarray) else a
+                try:
+                    reduced = np.array(values, dtype=np.uint64) % np.uint64(p)
+                except OverflowError:
+                    reduced = np.fromiter((int(v) % p for v in values), dtype=np.uint64,
+                                          count=len(values))
             if e == 0:
                 return np.ones_like(reduced)
             out = np.empty_like(reduced)

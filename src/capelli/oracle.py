@@ -124,9 +124,9 @@ def rabin_test(f: Poly, *, work_bound: Optional[int] = DEFAULT_WORK_BOUND) -> Or
 
     f of degree n is irreducible iff x^(p^n) = x (mod f) and
     gcd(x^(p^(n/r)) - x, f) = 1 for every prime r dividing n. The Frobenius
-    powers are computed once along an ascending chain: on the ladder, at
-    the cost of a single exponentiation to p^n, or where a Frobenius step
-    is not cheap, by x^p and O(log n) compositions (``_frobenius_climb``).
+    powers are computed once along an ascending chain: by n Frobenius steps
+    in all, or where a step is not cheap, by x^p and O(log n) compositions
+    (``_frobenius_climb``).
     """
     if f.is_zero:
         raise ValueError("rabin_test requires a nonzero polynomial")
@@ -168,7 +168,8 @@ def _frobenius_climb(ring: _ResidueRing, x_red: list[int]):
     Where the ring's Frobenius step is not cheap (``spreads``), x^p is taken
     once on its ladder and each x^(p^e) by compositions from the powers
     known so far (``_doubling_chain``). Elsewhere each call climbs from the
-    last power on the ladder, h -> h^(p^(e - prev)).
+    last power by e - prev Frobenius steps (``frobenius_steps``), which
+    meter what the radix-p ladder of h^(p^(e - prev)) meters.
     """
     p = ring.p
     if not ring.spreads:
@@ -184,7 +185,7 @@ def _frobenius_climb(ring: _ResidueRing, x_red: list[int]):
 
         def climb(e: int) -> list:
             prev = max(known)
-            known[e] = ring.pow(known[prev], p ** (e - prev))
+            known[e] = ring.frobenius_steps(known[prev], e - prev)
             return known[e]
 
     return climb

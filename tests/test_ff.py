@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capelli import (
@@ -556,6 +556,10 @@ def test_montgomery_pow_many_matches_native_pow(data):
     # an earlier result goes back in as it is
     again = K.pow_many(K.pow_many(values, 1), exponents[-1])
     assert [int(v) for v in again] == [pow(v, exponents[-1], p) for v in values]
+    # an int64 array, negative values included
+    signed = [v for v in values if -(2**63) <= v < 2**63]
+    got = K.pow_many(np.array(signed, dtype=np.int64), exponents[-1])
+    assert [int(v) for v in got] == [pow(v, exponents[-1], p) for v in signed]
 
 
 def test_montgomery_pow_many_runs_in_blocks():
@@ -661,6 +665,71 @@ def test_frobenius_powers_of_x_take_no_products(p):
         with patch.object(_ResidueRing, "_mul", side_effect=AssertionError):
             for k in (1, 2, n, n + 3):
                 assert ring.pow([0, 1], p**k) == _schoolbook_pow(K, f, [0, 1], p**k)
+
+
+# trinomials x^n + c*x^k + c0, whose numpy fold takes w = n - k coefficients a
+# block: one block (k = 1), two (k = n/2) or about n/8 (k = n - 8)
+FOLD_CASES = [(p, n, k) for p in (2, 3) for n in (65, 200) for k in (1, n // 2, n - 8)]
+
+
+def _trinomial(p, n, k):
+    rng = random.Random(p * n + k)
+    f = [rng.randrange(1, p)] + [0] * (n - 1) + [1]
+    f[k] = rng.randrange(1, p)
+    return f
+
+
+@pytest.mark.parametrize("p, n, k", FOLD_CASES)
+def test_numpy_frobenius_step_matches_schoolbook_and_lists(p, n, k):
+    """The numpy spread and its block fold give the lists backend's and
+    schoolbook's a^p, meter the same work, and climb to the same a^(p^j)."""
+    f = _trinomial(p, n, k)
+    on_numpy, on_lists = _ring_on("numpy", p, f), _ring_on("lists", p, f)
+    assert on_numpy.backend == "numpy" and on_numpy._sparse and on_numpy.spreads
+    rng = random.Random(k)
+    K = PrimeField(p)
+    for a in ([0, 1], [0] * (n - 1) + [1], [rng.randrange(p) for _ in range(n - 1)] + [1]):
+        with count_mults() as numpy_work:
+            frob = on_numpy._frob(np.asarray(a, dtype=np.int64)).tolist()
+        with count_mults() as lists_work:
+            assert frob == on_lists._frob(a)
+        assert numpy_work() == lists_work()
+        assert frob == _schoolbook_pow(K, f, a, p)
+        for j in (2, n // 2, n + 3):
+            assert on_numpy.pow(a, p**j) == on_lists.pow(a, p**j)
+            assert on_numpy.frobenius_steps(a, j) == on_lists.pow(a, p**j)
+
+
+def _largest_np_safe_prime(width):
+    # down from the first p - 1 whose (p - 1)^2 (width + 1) reaches 2^62
+    p = isqrt(((1 << 62) - 1) // (width + 1)) + 1
+    while not (_np_safe(p, width) and is_prime(p)):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("n", [65, 200])
+def test_numpy_block_fold_at_the_largest_int64_safe_p(n):
+    """At the largest p with numpy sums (``_np_safe(p, n + 1)``), operands of
+    p - 1 and the most low terms a sparse fold admits, all p - 1, give the
+    lists backend's products, long reductions and powers. A spread there
+    would be (n - 1)p + 1 long, so the ring squares."""
+    p = _largest_np_safe_prime(n + 1)
+    for k in (1, n // 2, n - 8):
+        # terms from x^0 to x^k, as many as a sparse fold admits, each of
+        # low = x^n - f equal to p - 1
+        t = min(k + 1, n // (4 * (1 + (n - 2) // (n - k))))
+        f = [0] * n + [1]
+        for j in np.linspace(0, k, t).round().astype(int):
+            f[j] = 1
+        on_numpy, on_lists = _ring_on("numpy", p, f), _ring_on("lists", p, f)
+        assert on_numpy._sparse and not on_numpy.spreads
+        top = [p - 1] * n
+        assert on_numpy.mul(top, top) == on_lists.mul(top, top)
+        long = [p - 1] * (3 * n)
+        assert on_numpy.reduce(long) == on_lists.reduce(long) == _pf_divmod(p, long, f)[1]
+        for e in (p, p**2 + 5):
+            assert on_numpy.pow(top, e) == on_lists.pow(top, e)
 
 
 @pytest.mark.parametrize("p", [65521, 2**31 - 1, 2**61 - 1])
@@ -773,14 +842,6 @@ def test_composition_chain_reaches_the_frobenius_powers_of_x(case, ks):
         assert climb(k) == ring.pow([0, 1], p**k)
 
 
-def test_rabin_work_pinned_on_the_degree_1458_tower_member():
-    """x^1458 + x^729 + 1 over F_2: 1458 spreads and two gcds, no products."""
-    f = Poly(F2, [1] + [0] * 728 + [1] + [0] * 728 + [1])
-    with count_mults() as work:
-        assert rabin_test(f, work_bound=None).irreducible
-    assert work() == 1_960_037
-
-
 # --- the spread rule -----------------------------------------------------------
 
 SPREAD_PRIMES = [3, 5, 7, 13, 65521, 2**31 - 1, 2**61 - 1]
@@ -878,3 +939,29 @@ def test_rabin_estimate_covers_its_ladder_and_rabin_agrees_with_trial_division(c
     assert work() <= _rabin_work(_ResidueRing(p, f), checkpoints)
     if p ** (n // 2) <= 2500:
         assert trial_division_test(Poly(K, f), work_bound=None).irreducible == verdict.irreducible
+
+
+@given(case=st.one_of(_spread_case([2, 3, 5, 13, 2**61 - 1], 80),
+                      st.tuples(st.sampled_from([2, 3, 7, 2**61 - 1]), st.integers(0, 6)).map(
+                          lambda pc: (pc[0], [pc[1] % pc[0], 1]))),
+       ks=st.sets(st.integers(1, 8), min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_frobenius_climb_by_steps_matches_the_ladder(case, ks):
+    """On a ring whose Frobenius step is cheap, binomials and linear f
+    included, each x^(p^k) the climb reaches by steps equals the ring's
+    radix-p ladder from x and meters what that ladder meters from the power
+    before it."""
+    p, f = case
+    ring = _ResidueRing(p, f)
+    assume(ring.spreads)
+    x = _gen_divmod(PrimeField(p), [0, 1], f)[1]
+    climb = _frobenius_climb(ring, x)
+    prev, h = 0, x
+    for k in sorted(ks):
+        with count_mults() as climbed:
+            got = climb(k)
+        with count_mults() as powered:
+            expect = ring.pow(h, p ** (k - prev))
+        assert got == expect == ring.pow(x, p**k)
+        assert climbed() == powered()
+        prev, h = k, got

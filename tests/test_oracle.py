@@ -59,6 +59,23 @@ def test_rabin_work_bound():
     rabin_test(Poly(F2, [1, 1, 1]), work_bound=None)
 
 
+@pytest.mark.parametrize(
+    "p, coeffs, pinned",
+    [
+        # reducing x costs 2, and x^p is a native power: 4 products for p = 7
+        (7, [3, 1], 6),
+        (2**61 - 1, [5, 1], 122),
+        # x^1458 + x^729 + 1, the tower-p2 member: 1458 spreads and two gcds
+        (2, [1] + [0] * 728 + [1] + [0] * 728 + [1], 1_960_037),
+    ],
+    ids=["x+3-over-F7", "x+5-over-F_2^61-1", "degree-1458-tower-member"],
+)
+def test_rabin_metered_work_pinned(p, coeffs, pinned):
+    with count_mults() as work:
+        assert rabin_test(Poly(PrimeField(p), coeffs), work_bound=None).irreducible
+    assert work() == pinned
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1, 2**61 - 1])
 def test_rabin_estimate_covers_the_metered_work(p):
     """A budget one below the metered work is refused up front, binomials

@@ -232,6 +232,17 @@ def test_monte_carlo_batches_keep_the_draw_order(monkeypatch):
     assert monte_carlo_estimate(5, 3, 8, 500, seed=3).successes == expected
 
 
+@pytest.mark.parametrize(
+    "p, k, d, pinned, unused",
+    # q = 2^63: the largest index fits int64; q = 3^40 > 2^63 draws one at a time
+    [(2, 63, 7, 254, "from_index"), (3, 40, 2, 138, "from_indices")],
+)
+def test_monte_carlo_draws_in_one_call_where_indices_fit_int64(p, k, d, pinned, unused,
+                                                               monkeypatch):
+    monkeypatch.setattr(ExtensionField, unused, lambda *args: pytest.fail(unused))
+    assert monte_carlo_estimate(p, k, d, 300, seed=4).successes == pinned
+
+
 def test_census_and_monte_carlo_work_pinned():
     """Batched ladders over F_{3^6} and Montgomery ladders at p = 2^61 - 1:
     what a census and a Monte Carlo run meter together."""
