@@ -20,23 +20,24 @@ All arithmetic modulo a monic f over F_p goes through one residue ring,
 ``_ResidueRing(p, f)``: extension-field products and powers, and the
 modular powers of ``poly_powmod`` and the Rabin oracle. Inside it values
 are trimmed int lists, converted to padded tuples only at the
-``ExtensionField`` boundary. Its backend follows from p and deg f: plain
-int lists up to degree ``_LISTS_MAX_DEG``, int64 numpy kernels above it
-when the sums cannot overflow, and lists otherwise. Both reduce by
-folding with the t nonzero terms of x^n - f, so a ring costs O(n) to
-build and sparse moduli such as b(x^d) reduce in O(t) per coefficient.
+``ExtensionField`` boundary. Its backend follows from p and deg f, and
+its kernels are bound when it is built: plain int lists up to degree
+``_LISTS_MAX_DEG``, int64 numpy above it when the sums cannot overflow,
+and lists otherwise. Both reduce by folding with the t nonzero terms of
+x^n - f, so a ring costs O(n) to build and sparse moduli such as b(x^d)
+reduce in O(t) per coefficient.
 Outside the ring, ``Poly`` products and division (``_pf_mul``,
 ``_pf_divmod``, and the gcd on it) run schoolbook loops on int lists at
 every size.
 
 The module has one powering ladder, ``_ladder``, and every power runs on
-it: residues; an (N, n) int64 batch of residues, folded by the same terms
-(``pow_many``); a batch of F_p values on int64 arrays or, for p above
-about 1.5 * 10^9, in Montgomery form on uint64 arrays. It reads the
-exponent in a radix r and spends, per digit, one step a -> a^r and one
-product by a^digit if the digit is nonzero. Over F_p, a(x)^p = a(x^p), so
-a p-th power (a Frobenius step) takes no products. For a binomial
-f = x^n - c it moves and scales each coefficient,
+it: residues; (N, n) rows of residues, int64 where a batched product's
+sums fit and Python ints elsewhere (``pow_many``); F_p values on int64
+arrays or, for p above about 1.5 * 10^9, in Montgomery form on uint64
+arrays. It reads the exponent in a radix r and spends, per digit, one step
+a -> a^r and one product by a^digit if the digit is nonzero. Over F_p,
+a(x)^p = a(x^p), so a p-th power (a Frobenius step) takes no products.
+For a binomial f = x^n - c it moves and scales each coefficient,
 x^(ip) = c^floor(ip/n) x^(ip mod n), in O(n) at any p; for other f it is
 a spread of the coefficients to stride p and a fold by f. Only
 ``_ResidueRing.pow`` passes r = p with that step, when the step is cheap
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import partial
 from math import isqrt
 from typing import Sequence, Union
 
@@ -118,13 +120,13 @@ def count_mults():
     coefficient of g whose index i is not a multiple of s the length of
     the baby step h^(i mod s) it scales. The count is the same on both
     backends, lists and numpy. A batched product of N values
-    (``pow_many``) counts N products of full-length rows,
-    N*(n^2 + (n - 1)*t), whatever the values' actual lengths; over F_p it
-    counts N, however the values are blocked. Outside the ring, a
-    polynomial product counts la*lb, a division by a divisor of lb
-    coefficients counts lb per quotient coefficient, making a gcd monic
-    counts one per coefficient, and a power a^e in F_p
-    counts the binary ladder's products, ``_ladder_products(e)``. Trial
+    (``pow_many``), on int64 or Python-int rows, counts N products of
+    full-length rows, N*(n^2 + (n - 1)*t), whatever the values' actual
+    lengths; over F_p it counts N, however the values are blocked. Outside
+    the ring, a polynomial product counts la*lb, a division by a divisor
+    of lb coefficients counts lb per quotient coefficient, making a gcd
+    monic counts one per coefficient, and a power a^e in F_p counts the
+    binary ladder's products, ``_ladder_products(e)``. Trial
     division of f of degree n counts, for each candidate divisor it tries
     up to and including the witness, that division: (n - j + 1)(j + 1) for
     a monic candidate of degree j over F_p. Inside the block the reading is
@@ -246,6 +248,18 @@ def _pf_divmod(p: int, a: list[int], b: list[int]) -> tuple[list[int], list[int]
     return _strip(q, 0), _strip(r, 0)
 
 
+def _as_is(a):
+    return a
+
+
+def _list_zeros(size: int) -> list[int]:
+    return [0] * size
+
+
+_as_int64 = partial(np.asarray, dtype=np.int64)
+_int64_zeros = partial(np.zeros, dtype=np.int64)
+
+
 def _trim_np(r: np.ndarray) -> np.ndarray:
     if r.shape[0] and r[-1]:
         return r
@@ -336,24 +350,27 @@ class _ResidueRing:
 
     Values are trimmed little-endian int lists with entries in [0, p). The
     backend follows from (p, n) alone: int64 numpy for n > _LISTS_MAX_DEG
-    when the sums cannot overflow, plain int lists otherwise. A backend is
-    a product kernel and a fold kernel, bound at construction: the
-    schoolbook ``_product_lists`` or ``np.convolve``, and ``_reduce_lists``
-    or ``_reduce_np``. Both folds rewrite x^n as low(x) = x^n - f, whose t
-    nonzero terms are ``terms``: lists fold one quotient coefficient at a
-    time from the top, t adds each. When low has few terms, numpy folds in
-    place from the top, one block of n - deg(low) coefficients at a time,
-    t vector adds each; otherwise one coefficient at a time, adding its
-    multiple of low. Building a ring is O(n). ``_mul`` and ``_frob``
-    meter the same work on either backend (see ``count_mults``). The ladder
-    in ``pow`` follows from (p, n, t) and whether f is a binomial x^n - c,
-    by ``_spreads``; a binomial ring builds its Frobenius map on its first
-    Frobenius step, so rings that never take one do not pay for it.
+    when the sums cannot overflow, plain int lists otherwise. Its kernels
+    are bound at construction, and no call tests the backend again: the
+    packing of lists and back, a zero allocator, the schoolbook
+    ``_product_lists`` or ``np.convolve``, the fold ``_reduce_lists`` or
+    ``_reduce_np``, the Frobenius step ``_frob`` and the ladder's radix.
+    Both folds rewrite x^n as low(x) = x^n - f, whose t nonzero terms are
+    ``terms``: lists fold one quotient coefficient at a time from the top,
+    t adds each. Where t < 2w, w = n - deg(low), numpy folds in place from
+    the top, one block of w coefficients at a time, t vector adds each;
+    otherwise one coefficient at a time, adding its multiple of low.
+    Building a ring is O(n). ``_mul`` and ``_frob`` meter the same work on
+    either backend (see ``count_mults``). The radix follows from (p, n, t)
+    and whether f is a binomial x^n - c, by ``_spreads``; a binomial ring
+    builds its Frobenius map on its first step, so rings that never take
+    one do not pay for it.
     """
 
     __slots__ = (
-        "p", "n", "terms", "backend", "binomial", "spreads",
-        "_sparse", "_maxnz", "_low_np", "_product", "_fold", "_map",
+        "p", "n", "terms", "backend", "binomial", "spreads", "_sparse", "_maxnz",
+        "_low_np", "_pack", "_unpack", "_zeros", "_product", "_fold", "_frob",
+        "_radix", "_step", "_map",
     )
 
     def __init__(self, p: int, f: Sequence[int]):
@@ -368,34 +385,34 @@ class _ResidueRing:
         self.terms = tuple((j, c) for j, c in enumerate(low) if c)
         self.binomial = not any(low[1:])
         self.spreads = _spreads(p, n, len(self.terms), self.binomial)
-        self._map = None  # the binomial Frobenius, built by its first step
-        self._product, self._fold = _product_lists, self._reduce_lists
+        self._map = None  # the binomial Frobenius map, built by its first step
         if n > _LISTS_MAX_DEG and _np_safe(p, n + 1):
             self.backend = "numpy"
             self._maxnz = max((j for j, _ in self.terms), default=-1)
-            folds = 1 + (n - 2) // (n - self._maxnz)
-            self._sparse = len(self.terms) * folds * 4 <= n
+            self._sparse = len(self.terms) < 2 * (n - self._maxnz)
             self._low_np = np.asarray(low, dtype=np.int64)
+            self._pack, self._unpack, self._zeros = _as_int64, np.ndarray.tolist, _int64_zeros
             self._product = lambda a, b: np.convolve(a, b) % p
-            self._fold = self._reduce_np
+            self._fold, moves = self._reduce_np, self._binomial_np
         else:
             self.backend = "lists"
+            # a list packs to a copy, since a fold consumes its input
+            self._pack, self._unpack, self._zeros = list, _as_is, _list_zeros
+            self._product, self._fold = _product_lists, self._reduce_lists
+            moves = self._binomial_lists
+        self._frob = moves if self.binomial else self._spread
+        self._radix, self._step = (p, self._frob) if self.spreads else (2, None)
 
     def reduce(self, a: list[int]) -> list[int]:
         """a mod f, for a trimmed list with entries in [0, p)."""
         if len(a) <= self.n:
             return a
         _METER_LOCAL.mults += (len(a) - self.n) * len(self.terms)
-        if self.backend == "numpy":
-            return self._reduce_np(np.asarray(a, dtype=np.int64)).tolist()
-        return self._reduce_lists(list(a))
+        return self._unpack(self._fold(self._pack(a)))
 
     def mul(self, a: list[int], b: list[int]) -> list[int]:
         """a*b mod f, for reduced a and b."""
-        if self.backend == "numpy":
-            a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-            return self._mul(a, b).tolist()
-        return self._mul(a, b)
+        return self._unpack(self._mul(self._pack(a), self._pack(b)))
 
     def pow(self, a: list[int], e: int) -> list[int]:
         """a^e mod f; e is any non-negative int. ``_ladder`` reads e in
@@ -408,13 +425,7 @@ class _ResidueRing:
             # residues are constants: hand the same ladder to the native pow
             _METER_LOCAL.mults += _ladder_products(e)
             return [pow(a[0], e, self.p)]
-        numpy = self.backend == "numpy"
-        base = np.asarray(a, dtype=np.int64) if numpy else a
-        if self.spreads:
-            r = _ladder(base, e, self._mul, self.p, self._frob)
-        else:
-            r = _ladder(base, e, self._mul)
-        return r.tolist() if numpy else r
+        return self._unpack(_ladder(self._pack(a), e, self._mul, self._radix, self._step))
 
     def frobenius_steps(self, a: list[int], k: int) -> list[int]:
         """a^(p^k) mod f for reduced a, by k Frobenius steps: the radix-p
@@ -422,11 +433,10 @@ class _ResidueRing:
         that native power, charged its ladder's products."""
         if self.n == 1:
             return self.pow(a, self.p**k)
-        numpy = self.backend == "numpy"
-        r = np.asarray(a, dtype=np.int64) if numpy else a
+        r = self._pack(a)
         for _ in range(k):
             r = self._frob(r)
-        return r.tolist() if numpy else r
+        return self._unpack(r)
 
     def compose(self, g: list[int], h: list[int]) -> list[int]:
         """g(h) mod f for reduced g and h, by Brent and Kung's baby steps
@@ -459,23 +469,16 @@ class _ResidueRing:
             r = _strip([v % p for v in acc], 0)
         return r
 
-    @property
-    def batches(self) -> bool:
-        """Whether ``pow_many`` applies: n <= _LISTS_MAX_DEG and the int64
-        sums of a batched product cannot overflow. Each coefficient sums at
-        most n convolution terms and t <= n fold adds, all below p^2."""
-        return self.n <= _LISTS_MAX_DEG and _np_safe(self.p, 2 * self.n)
-
     def mul_many(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise a*b mod f for (N, n) int64 arrays of reduced values.
+        """Row-wise a*b mod f for (N, n) arrays of reduced values, int64
+        where the sums fit (see ``ExtensionField.pow_many``) or Python ints.
 
-        A batched schoolbook product, folded from the top by ``terms``;
-        requires ``batches``. Counts N products of full-length rows (see
-        ``count_mults``).
+        A batched schoolbook product, folded from the top by ``terms``.
+        Counts N products of full-length rows (see ``count_mults``).
         """
         count, n, p = a.shape[0], self.n, self.p
         _METER_LOCAL.mults += count * (n * n + (n - 1) * len(self.terms))
-        prod = np.zeros((count, 2 * n - 1), dtype=np.int64)
+        prod = np.zeros((count, 2 * n - 1), dtype=a.dtype)
         for i in range(n):
             prod[:, i : i + n] += a[:, i : i + 1] * b
         for k in range(2 * n - 2, n - 1, -1):
@@ -485,8 +488,8 @@ class _ResidueRing:
         return prod[:, :n] % p
 
     def pow_many(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Row-wise a^e mod f for an (N, n) int64 array of reduced values,
-        by one square-and-multiply ladder over the whole batch."""
+        """Row-wise a^e mod f for an (N, n) array of reduced values, by one
+        square-and-multiply ladder over the whole batch."""
         if e == 0:
             out = np.zeros_like(a)
             out[:, 0] = 1
@@ -503,23 +506,15 @@ class _ResidueRing:
         _METER_LOCAL.mults += la * lb + max(0, la + lb - 1 - self.n) * len(self.terms)
         return self._fold(self._product(a, b))
 
-    def _frob(self, a):
-        """a^p mod f for reduced a. For a binomial f = x^n - c, coefficient i
-        moves to ip mod n, scaled by c^floor(ip/n), and adds to what is
-        there (several i meet when p | n); counts len(a)*t. Otherwise
-        ``_spread``."""
-        if not self.binomial:
-            return self._spread(a)
+    def _binomial_lists(self, a: list[int]) -> list[int]:
+        """a^p mod a binomial f = x^n - c, for a reduced list: coefficient i
+        moves to ip mod n, scaled by c^floor(ip/n), and adds to what is there
+        (several i meet when p | n); counts len(a)*t."""
         if self._map is None:
             self._map = self._binomial_map()
         dest, scale = self._map
         la, p = len(a), self.p
         _METER_LOCAL.mults += la * len(self.terms)
-        if self.backend == "numpy":
-            out = np.zeros(self.n, dtype=np.int64)
-            np.add.at(out, dest[:la], a * scale[:la] % p)
-            # unless p | n, each slot took at most one value, already below p
-            return _trim_np(out if self.n % p else out % p)
         if a.count(0) == la - 1:
             # a monomial, as is every power of x that Rabin climbs through
             d, v = dest[la - 1], a[-1] * scale[la - 1] % p
@@ -534,6 +529,18 @@ class _ResidueRing:
         del out[top + 1 :]
         return _strip(out, 0)
 
+    def _binomial_np(self, a: np.ndarray) -> np.ndarray:
+        """``_binomial_lists`` on an int64 array."""
+        if self._map is None:
+            self._map = self._binomial_map()
+        dest, scale = self._map
+        la, p = len(a), self.p
+        _METER_LOCAL.mults += la * len(self.terms)
+        out = np.zeros(self.n, dtype=np.int64)
+        np.add.at(out, dest[:la], a * scale[:la] % p)
+        # unless p | n, each slot took at most one value, already below p
+        return _trim_np(out if self.n % p else out % p)
+
     def _binomial_map(self):
         # dest[i] = ip mod n and scale[i] = c^floor(ip/n), by one product per
         # index: from i to i + 1 the quotient grows by floor(p/n), or by one more
@@ -547,16 +554,14 @@ class _ResidueRing:
             if r >= n:
                 r, s = r - n, s * c
             dest[i], scale[i] = r, s % p
-        if self.backend == "numpy":
-            return np.array(dest), np.array(scale, dtype=np.int64)
-        return dest, scale
+        return self._pack(dest), self._pack(scale)
 
     def _spread(self, a):
         """a^p mod f for reduced a: a(x^p), spread to stride p, then the fold."""
         if not len(a):
             return a
         size = (len(a) - 1) * self.p + 1
-        spread = np.zeros(size, dtype=np.int64) if self.backend == "numpy" else [0] * size
+        spread = self._zeros(size)
         spread[:: self.p] = a
         if size <= self.n:
             return spread
@@ -709,7 +714,7 @@ class PrimeField:
                 out[i : i + _MONTGOMERY_BLOCK] = _montgomery_pow(
                     reduced[i : i + _MONTGOMERY_BLOCK], e, p)
             return out
-        base = np.asarray(a, dtype=np.int64)
+        base = np.asarray(a, dtype=np.int64) % p
         if e == 0:
             return np.ones_like(base)
         return _ladder(base, e, lambda x, y: x * y % p)
@@ -823,21 +828,16 @@ class ExtensionField:
         return self._residue(self._ring.pow(_strip(list(a), 0), e))
 
     def pow_many(self, a, e: int) -> np.ndarray:
-        """a_i^e for each row a_i of a, an (N, m) array of raw values.
-
-        One ladder over the whole batch (``_ResidueRing.pow_many``) when the
-        ring ``batches``; otherwise ``pow`` per value, returned as an (N, m)
-        object array of ints.
-        """
+        """a_i^e for each row a_i of a, an (N, m) array or sequence of raw
+        values, by one ladder over the whole batch (``_ResidueRing.pow_many``)
+        on int64 rows where its sums fit, ``_np_safe(p, 2m)`` (each sums m
+        convolution terms and t <= m fold adds, all below p^2), and on
+        Python-int rows, an object array, elsewhere."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        ring, m = self._ring, self.degree
-        if ring.batches:
-            return ring.pow_many(np.asarray(a, dtype=np.int64).reshape(-1, m), e)
-        out = np.empty((len(a), m), dtype=object)
-        for i, v in enumerate(a):
-            out[i] = self.pow(tuple(map(int, v)), e)
-        return out
+        m = self.degree
+        rows = np.asarray(a, dtype=np.int64 if _np_safe(self.p, 2 * m) else object)
+        return self._ring.pow_many(rows.reshape(-1, m), e)
 
     # conversions and iteration ----------------------------------------------
 
@@ -858,11 +858,13 @@ class ExtensionField:
             digits.append(r)
         return tuple(digits)
 
-    def from_indices(self, indices: np.ndarray) -> np.ndarray:
-        """``from_index`` for each entry of an int64 array, as an (N, m) array."""
+    def from_indices(self, indices) -> np.ndarray:
+        """``from_index`` for each of a sequence of indices, as an (N, m)
+        array: int64 where q <= 2^63, so every index fits, else Python ints."""
+        indices = np.asarray(indices, dtype=np.int64 if self.order <= 1 << 63 else object)
         if indices.size and not 0 <= indices.min() <= indices.max() < self.order:
             raise ValueError("index out of range")
-        powers = np.array([self.p**i for i in range(self.degree)], dtype=np.int64)
+        powers = np.array([self.p**i for i in range(self.degree)], dtype=indices.dtype)
         return indices[:, None] // powers % self.p
 
     def to_index(self, a: tuple) -> int:

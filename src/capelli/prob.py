@@ -260,12 +260,7 @@ def monte_carlo_estimate(
     for start in range(0, trials, _SAMPLE_BATCH):
         # the per-alpha draw order, in batches, so memory does not grow with trials
         drawn = [rng.randrange(1, q) for _ in range(min(_SAMPLE_BATCH, trials - start))]
-        if k == 1:
-            values = drawn
-        elif q <= 1 << 63:  # the indices fit int64
-            values = field.from_indices(np.array(drawn, dtype=np.int64))
-        else:
-            values = [field.from_index(i) for i in drawn]
+        values = drawn if k == 1 else field.from_indices(drawn)
         successes += int(decide_many(field, d, values).sum())
     estimate = Fraction(successes, trials)
     phat = successes / trials

@@ -175,14 +175,15 @@ def _per_alpha_mask(F, d, values):
 
 
 # p = 2 and odd p with k from 1 to 9; F_p beyond int64 headroom (from 1,518,500,279
-# on) runs the Montgomery ladder, (2^61 - 1, 2) and (2, _LISTS_MAX_DEG + 1), whose
-# rings do not batch, run ExtensionField.pow per value
+# on) runs the Montgomery ladder; (2^61 - 1, 2) and (2^64 - 59, 2) run the batched
+# ladder on Python-int rows, and (2, _LISTS_MAX_DEG + 1) on int64 rows above the
+# lists/numpy crossover
 BATCH_FIELDS = (
     [(2, k) for k in range(1, 10)]
     + [(3, k) for k in range(1, 7)]
     + [(5, 1), (5, 2), (5, 4), (7, 1), (7, 3), (13, 2), (65521, 1), (65521, 2)]
     + [(2**31 - 1, 1), (1518500279, 1), (2**61 - 1, 1), (2**63 + 29, 1), (2**64 - 59, 1)]
-    + [(2**61 - 1, 2), (2, _LISTS_MAX_DEG + 1)]
+    + [(2**61 - 1, 2), (2**64 - 59, 2), (2, _LISTS_MAX_DEG + 1)]
 )
 
 
@@ -261,6 +262,12 @@ def test_decide_many_validations():
         decide_many(F7, 0, [1, 2])
     with pytest.raises(ValueError):
         decide_many(PrimeField(2**61 - 1), 1, [0])
+
+
+def test_decide_many_reduces_prime_field_values():
+    """10^12 = 1 mod 7, so x^3 - 10^12 is x^3 - 1 over F_7, which x - 1 divides."""
+    assert decide_many(F7, 3, [10**12]).tolist() == [False]
+    assert decide_many(F7, 3, [10**12 + 2]).tolist() == decide_many(F7, 3, [3]).tolist() == [True]
 
 
 def test_decide_evidence_order_is_fixed():

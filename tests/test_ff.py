@@ -28,6 +28,7 @@ from capelli.ff import (
     _MONTGOMERY_BLOCK,
     _ResidueRing,
     _ladder,
+    _ladder_products,
     _np_safe,
     _pf_divmod,
     _pf_mul,
@@ -342,7 +343,7 @@ def _ring_case(draw, p, n):
         # in several (k = n/2, n - 8), or divides (k = n - 1)
         f = [0] * n + [1]
         f[0] = draw(unit)
-        f[draw(st.sampled_from([1, n // 2, n - 8, n - 1]))] = draw(unit)
+        f[draw(st.sampled_from([1, n // 2, max(1, n - 8), n - 1]))] = draw(unit)
     else:
         f = draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
     # mostly full-length residues, so that products need reducing
@@ -479,18 +480,19 @@ def test_ring_product_count_matches_model(p, n, backend):
             assert work() == 0
 
 
-@pytest.mark.parametrize("p, n", [(2, 9), (5, 9), (2, 32), (65521, 32)])
+@pytest.mark.parametrize(
+    "p, n", [(2, 9), (5, 9), (2, 32), (65521, 32), (2**61 - 1, 3), (2, _LISTS_MAX_DEG + 1)])
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_ring_pow_many_matches_pow_and_counts_full_rows(p, n, data):
-    """The batched ladder gives the ring's powers and counts N full-row products
-    per square-and-multiply step."""
+    """The batched ladder, on int64 rows or Python-int rows, gives the ring's
+    powers and counts N full-row products per square-and-multiply step."""
     f, a, b = data.draw(_ring_case(p, n))
     e = data.draw(st.integers(0, 2**40))
     ring = _ResidueRing(p, f)
-    assert ring.batches
     rows = [a, b, ring.mul(a, b), [], [1]]
-    batch = np.array([r + [0] * (n - len(r)) for r in rows], dtype=np.int64)
+    dtype = np.int64 if _np_safe(p, 2 * n) else object
+    batch = np.array([r + [0] * (n - len(r)) for r in rows], dtype=dtype)
     with count_mults() as work:
         got = ring.pow_many(batch, e)
     assert [_strip(row.tolist(), 0) for row in got] == [ring.pow(r, e) for r in rows]
@@ -499,12 +501,30 @@ def test_ring_pow_many_matches_pow_and_counts_full_rows(p, n, data):
     assert work() == len(rows) * steps * (n * n + (n - 1) * t)
 
 
-def test_ring_batches_only_on_rows_with_int64_headroom():
-    """Rings batch up to the lists/numpy crossover, when int64 sums fit."""
-    n = _LISTS_MAX_DEG
-    assert _ResidueRing(65521, [1] + [0] * (n - 1) + [1]).batches
-    assert not _ResidueRing(2**31 - 1, [1] + [0] * (n - 1) + [1]).batches
-    assert not _ResidueRing(2, [1] + [0] * n + [1]).batches
+def test_extension_rows_are_int64_exactly_where_batched_sums_fit():
+    """``ExtensionField.pow_many`` runs on int64 rows where ``_np_safe(p, 2m)``
+    holds and on Python-int rows elsewhere. Every row equals ``pow``, and
+    Python-int rows give the same powers and work as int64 rows. 811,672,523
+    is the last prime with int64 rows at m = 3, 811,672,541 the first without."""
+    for p in (65521, 811672523, 811672541, 2**31 - 1, 2**61 - 1, 2**64 - 59):
+        for m in (2, 3, 65):
+            rng = random.Random(p * m)
+            f = [rng.randrange(1, p)] + [0] * (m - 1) + [1]
+            f[m // 2] = rng.randrange(1, p)
+            F = ExtensionField(p, f, trusted=True)
+            values = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(3)]
+            values += [F.one, F.gen(), (p - 1,) * m]
+            e = rng.randrange(2**8, 2**10)
+            t = sum(1 for c in F.modulus[:m] if c)
+            with count_mults() as work:
+                got = F.pow_many(values, e)
+            assert got.dtype == (np.int64 if _np_safe(p, 2 * m) else object), (p, m)
+            assert [tuple(map(int, row)) for row in got] == [F.pow(v, e) for v in values]
+            assert work() == len(values) * _ladder_products(e) * (m * m + (m - 1) * t)
+            with count_mults() as python_ints:
+                on_objects = F._ring.pow_many(np.array(values, dtype=object), e)
+            assert on_objects.dtype == object and on_objects.tolist() == got.tolist()
+            assert python_ints() == work()
 
 
 @pytest.mark.parametrize("p", [65521, 2**61 - 1, 2**64 - 59])
@@ -512,12 +532,16 @@ def test_prime_field_pow_many_matches_pow_and_counts(p):
     """int64 or Montgomery ladder, each step counting N products."""
     rng = random.Random(p)
     K = PrimeField(p)
-    values = [rng.randrange(p) for _ in range(20)]
+    # unreduced values too: negative, p and above, beyond int64 products
+    values = [rng.randrange(p) for _ in range(20)] + [10**12, -5, p, 2 * p + 3]
     for e in (0, 1, 2, 3, p - 1, (p - 1) // 2, rng.randrange(2**90)):
         with count_mults() as work:
             got = K.pow_many(values, e)
         assert [int(v) for v in got] == [pow(v, e, p) for v in values]
         assert work() == len(values) * max(0, e.bit_length() + e.bit_count() - 2)
+    # 10^12 = 1 mod 7: squared on int64 it once overflowed, and e = 1 left it unreduced
+    assert PrimeField(7).pow_many([10**12], 2).tolist() == [1]
+    assert PrimeField(7).pow_many([10**12], 1).tolist() == [1]
 
 
 # 1,518,500,213 is the last prime with int64 headroom, 1,518,500,279 the first without;
@@ -584,6 +608,16 @@ def test_from_indices_matches_from_index():
     for bad in ([125], [-1, 3]):
         with pytest.raises(ValueError):
             F.from_indices(np.array(bad, dtype=np.int64))
+    # q = 3^40 > 2^63: Python-int indices and rows
+    F = ExtensionField(3, [1, 2] + [0] * 38 + [1], trusted=True)
+    rng = random.Random(40)
+    indices = [0, 1, 2**63, F.order - 1] + [rng.randrange(F.order) for _ in range(20)]
+    got = F.from_indices(np.array(indices, dtype=object))
+    assert got.dtype == object
+    assert [tuple(row) for row in got.tolist()] == [F.from_index(i) for i in indices]
+    assert F.from_indices(indices).tolist() == got.tolist()
+    with pytest.raises(ValueError):
+        F.from_indices([F.order])
 
 
 # --- the Frobenius ladder ------------------------------------------------------
@@ -599,6 +633,13 @@ FROB_BACKENDS = [
     ("numpy", _LISTS_MAX_DEG + 1),
     ("lists", _LISTS_MAX_DEG + 1),
 ]
+
+
+def _on_ladder(p, f, spreads):
+    """A ring whose ``pow`` takes the radix-p ladder with Frobenius steps
+    (spreads) or the binary ladder, whichever ``_spreads`` would pick."""
+    with patch("capelli.ff._spreads", return_value=spreads):
+        return _ResidueRing(p, f)
 
 
 def _schoolbook_pow(K, f, a, e):
@@ -716,9 +757,9 @@ def test_numpy_block_fold_at_the_largest_int64_safe_p(n):
     would be (n - 1)p + 1 long, so the ring squares."""
     p = _largest_np_safe_prime(n + 1)
     for k in (1, n // 2, n - 8):
-        # terms from x^0 to x^k, as many as a sparse fold admits, each of
-        # low = x^n - f equal to p - 1
-        t = min(k + 1, n // (4 * (1 + (n - 2) // (n - k))))
+        # terms from x^0 to x^k, as many as a sparse fold admits (t < 2(n - k)),
+        # each of low = x^n - f equal to p - 1
+        t = min(k + 1, 2 * (n - k) - 1)
         f = [0] * n + [1]
         for j in np.linspace(0, k, t).round().astype(int):
             f[j] = 1
@@ -730,6 +771,34 @@ def test_numpy_block_fold_at_the_largest_int64_safe_p(n):
         assert on_numpy.reduce(long) == on_lists.reduce(long) == _pf_divmod(p, long, f)[1]
         for e in (p, p**2 + 5):
             assert on_numpy.pow(top, e) == on_lists.pow(top, e)
+
+
+def _sum_of_terms(n, *exponents):
+    f = [0] * n + [1]
+    for j in exponents:
+        f[j] = 1
+    return f
+
+
+def test_numpy_fold_choice_follows_block_geometry():
+    """The block fold takes a modulus whose low part x^n - f has t < 2w terms,
+    w = n - deg(low); any other modulus folds one coefficient at a time."""
+    rng = random.Random(13)
+    dense = [rng.randrange(13) for _ in range(99)] + [1, 1]
+    cases = [
+        (3, _sum_of_terms(200, 0, 120, 150, 190), True),  # t = 4, w = 10
+        (2, _sum_of_terms(1458, 0, 1450), True),  # t = 2, w = 8
+        (3, _sum_of_terms(200, 0, 199), False),  # t = 2, w = 1
+        (13, dense, False),
+    ]
+    # every tower-p2 member of numpy degree, x^(2m) + x^m + 1 for m = 3^k
+    cases += [(2, _sum_of_terms(2 * m, 0, m), True) for m in (81, 243, 729, 2187)]
+    for p, f, sparse in cases:
+        ring = _ResidueRing(p, f)
+        assert ring.backend == "numpy" and ring._sparse == sparse, (p, len(f) - 1)
+    for p, f, _ in cases[:4]:
+        a = [rng.randrange(p) for _ in range(len(f) - 2)] + [1]
+        assert _ResidueRing(p, f).mul(a, a) == _ring_on("lists", p, f).mul(a, a)
 
 
 @pytest.mark.parametrize("p", [65521, 2**31 - 1, 2**61 - 1])
@@ -834,8 +903,7 @@ def test_composition_chain_reaches_the_frobenius_powers_of_x(case, ks):
     equals the ring's own ladder."""
     p, f = case
     K = PrimeField(p)
-    composing = _ResidueRing(p, f)
-    composing.spreads = False
+    composing = _on_ladder(p, f, False)
     climb = _frobenius_climb(composing, _gen_divmod(K, [0, 1], f)[1])
     ring = _ResidueRing(p, f)
     for k in sorted(ks):
@@ -903,9 +971,7 @@ def test_trinomial_at_p13_n12_spreads_though_a_spread_costs_more_than_a_squaring
         for e in (p, p**3, p**12 - 1, (p**12 - 1) // 3 + 11):
             expect = _schoolbook_pow(K, f, a, e)
             assert ring.pow(a, e) == expect
-            ring.spreads = False
-            assert ring.pow(a, e) == expect
-            ring.spreads = True
+            assert _on_ladder(p, f, False).pow(a, e) == expect
 
 
 @given(case=_spread_case(SPREAD_PRIMES[:4], 80), data=st.data())
@@ -918,10 +984,8 @@ def test_both_ladders_match_schoolbook_on_small_p(case, data):
     e = data.draw(st.one_of(st.integers(0, 3).map(lambda k: p**k), st.integers(0, p**3)),
                   label="e")
     expect = _schoolbook_pow(PrimeField(p), f, a, e)
-    ring = _ResidueRing(p, f)
-    for spreads in (ring.spreads, not ring.spreads):
-        ring.spreads = spreads
-        assert ring.pow(a, e) == expect
+    for spreads in (False, True):
+        assert _on_ladder(p, f, spreads).pow(a, e) == expect
 
 
 @given(case=_spread_case(SPREAD_PRIMES, 80))

@@ -233,14 +233,25 @@ def test_monte_carlo_batches_keep_the_draw_order(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p, k, d, pinned, unused",
-    # q = 2^63: the largest index fits int64; q = 3^40 > 2^63 draws one at a time
-    [(2, 63, 7, 254, "from_index"), (3, 40, 2, 138, "from_indices")],
+    "p, k, d, pinned",
+    # q = 2^63: the largest index fits int64; q = 3^40 > 2^63 takes Python-int indices
+    [(2, 63, 7, 254), (3, 40, 2, 138)],
 )
-def test_monte_carlo_draws_in_one_call_where_indices_fit_int64(p, k, d, pinned, unused,
-                                                               monkeypatch):
-    monkeypatch.setattr(ExtensionField, unused, lambda *args: pytest.fail(unused))
+def test_monte_carlo_converts_each_batch_in_one_call(p, k, d, pinned, monkeypatch):
+    """Each batch of 128 draws goes to ``from_indices`` once; no draw is
+    converted alone."""
+    calls = []
+    from_indices = ExtensionField.from_indices
+
+    def counted(field, indices):
+        calls.append(len(indices))
+        return from_indices(field, indices)
+
+    monkeypatch.setattr(prob, "_SAMPLE_BATCH", 128)
+    monkeypatch.setattr(ExtensionField, "from_indices", counted)
+    monkeypatch.setattr(ExtensionField, "from_index", lambda *args: pytest.fail("from_index"))
     assert monte_carlo_estimate(p, k, d, 300, seed=4).successes == pinned
+    assert calls == [128, 128, 44]
 
 
 def test_census_and_monte_carlo_work_pinned():
