@@ -8,6 +8,11 @@ JSON reports are byte-identical across runs for fixed inputs and seeds:
 they carry deterministic work counts (coefficient multiplications), never
 wall-clock times. Human-readable output adds timings. All numbers inside
 JSON are decimal strings, since group orders outgrow fixed-width integers.
+
+Work and wall time are taken in one place, ``_metered``; ``test --oracle``
+and every ``bench`` step race the criterion against Rabin through
+``_race``. Each command builds its ``--json`` report and its human lines
+once, and prints one or the other through ``_emit``.
 """
 
 from __future__ import annotations
@@ -16,29 +21,15 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .criterion import (
-    DEFAULT_CANDIDATE_BOUND,
-    FourthPowerTest,
-    ResidueTest,
-    Shortcut,
-    Verdict,
-    ZeroRootEvidence,
-    _compose_within,
-    _next_step,
-    _test_json,
-    decide_b_xd,
-    grow_tower,
-)
-from .errors import (
-    CapelliError,
-    NoViableStepError,
-    PolyParseError,
-    ReducibleInputError,
-    TowerStepRejectedError,
-)
+from .criterion import (DEFAULT_CANDIDATE_BOUND, FourthPowerTest, ResidueTest, Shortcut, Verdict,
+                        ZeroRootEvidence, _compose_within, _next_step, _test_json, decide_b_xd,
+                        grow_tower)
+from .errors import (CapelliError, NoViableStepError, PolyParseError, ReducibleInputError,
+                     TowerStepRejectedError)
 from .ff import Poly, PrimeField, count_mults
 from .oracle import DEFAULT_ENUMERATION_BOUND, DEFAULT_WORK_BOUND, enumerate_irreducibles, rabin_test
 from .polytext import parse_coeff_array, parse_poly, render_poly
@@ -52,8 +43,14 @@ __all__ = ["main", "run"]
 # ---------------------------------------------------------------------------
 
 
+def _rational(v: Fraction) -> str:
+    # Decimal writes numerator and denominator past the interpreter's int/str digit limit
+    n, d = Decimal(v.numerator), Decimal(v.denominator)
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
 def _fraction_json(v: Fraction) -> dict:
-    return {"rational": str(v), "decimal": f"{float(v):.6f}"}
+    return {"rational": _rational(v), "decimal": f"{float(v):.6f}"}
 
 
 def _evidence_json(ev) -> Optional[dict]:
@@ -64,10 +61,7 @@ def _evidence_json(ev) -> Optional[dict]:
     if isinstance(ev, FourthPowerTest):
         return {"kind": "fourth-power", **_test_json(ev), "is_power": ev.is_power}
     if isinstance(ev, Shortcut):
-        return {
-            "kind": "shortcut",
-            "dprime": None if ev.dprime is None else str(ev.dprime),
-        }
+        return {"kind": "shortcut", "dprime": None if ev.dprime is None else str(ev.dprime)}
     if isinstance(ev, ZeroRootEvidence):
         return {"kind": "zero-root", "dprime": str(ev.dprime)}
     raise TypeError(f"unknown evidence {ev!r}")  # pragma: no cover
@@ -82,20 +76,44 @@ def _verdict_json(v: Verdict) -> dict:
     }
 
 
-def _emit_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+def _emit(args, report: dict, lines: list[str], file=None) -> None:
+    """Print the --json report, or else the human lines (to stdout unless
+    ``file`` is given)."""
+    if args.json:
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+    else:
+        for line in lines:
+            print(line, file=file)
+
+
+def _metered(fn, *args, **kwargs):
+    """fn(*args, **kwargs), the multiplications it metered, and its wall time in ms."""
+    t0 = time.perf_counter()
+    with count_mults() as work:
+        result = fn(*args, **kwargs)
+    return result, work(), (time.perf_counter() - t0) * 1000
+
+
+def _race(b: Poly, d: int, work_bound: Optional[int], trusted: bool):
+    """The criterion on b(x^d), then Rabin on the composition built within
+    work_bound, each metered: (verdict, mults, ms), (oracle verdict, mults,
+    ms), and b(x^d)."""
+    criterion = _metered(decide_b_xd, b, d, trusted, work_bound=work_bound)
+    composed = _compose_within(b, d, work_bound)
+    # capelli.cli.rabin_test, looked up at each call: tests patch it
+    return criterion, _metered(rabin_test, composed, work_bound=work_bound), composed
 
 
 def _parse_input_poly(args, field: PrimeField) -> Poly:
-    if getattr(args, "coeffs", None) is not None:
+    if args.coeffs is not None:
         return parse_coeff_array(args.coeffs, field)
-    if getattr(args, "poly", None) is not None:
+    if args.poly is not None:
         return parse_poly(args.poly, field)
     raise PolyParseError("no polynomial given (use --poly or --coeffs)")
 
 
-def _work_bound(args) -> Optional[int]:
-    return None if args.work_bound == 0 else args.work_bound
+def _schedule(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x]
 
 
 # ---------------------------------------------------------------------------
@@ -104,51 +122,38 @@ def _work_bound(args) -> Optional[int]:
 
 
 def cmd_test(args) -> int:
-    field = PrimeField(args.p)
-    b = _parse_input_poly(args, field)
-    t0 = time.perf_counter()
-    with count_mults() as criterion_work:
-        verdict = decide_b_xd(b, args.d, work_bound=_work_bound(args))
-    criterion_ms = (time.perf_counter() - t0) * 1000
-    criterion_mults = criterion_work()
-
+    b = _parse_input_poly(args, PrimeField(args.p))
+    if args.oracle:
+        (verdict, mults, ms), oracle, _ = _race(b, args.d, args.work_bound, trusted=False)
+    else:
+        verdict, mults, ms = _metered(decide_b_xd, b, args.d, work_bound=args.work_bound)
+        oracle = None
     report = {
         "p": str(args.p),
         "input": render_poly(b),
         "d": str(args.d),
+        **_verdict_json(verdict),
+        "work": {"criterion_mults": str(mults)},
     }
-    report.update(_verdict_json(verdict))
-    report["work"] = {"criterion_mults": str(criterion_mults)}
-
-    oracle_line = ""
+    lines = [
+        f"{report['verdict']}: b(x^{args.d}) for b = {report['input']} over GF({args.p})",
+        f"reason: {verdict.reason.value}",
+        f"criterion work: {mults} mults, {ms:.2f} ms",
+    ]
     agrees = True
-    if args.oracle:
-        composed = _compose_within(b, args.d, _work_bound(args))
-        t1 = time.perf_counter()
-        with count_mults() as oracle_work:
-            oracle = rabin_test(composed, work_bound=_work_bound(args))
-        oracle_ms = (time.perf_counter() - t1) * 1000
-        agrees = oracle.irreducible == verdict.irreducible
+    if oracle is not None:
+        oracle_verdict, oracle_mults, oracle_ms = oracle
+        agrees = oracle_verdict.irreducible == verdict.irreducible
         report["oracle"] = {
-            "verdict": "irreducible" if oracle.irreducible else "reducible",
+            "verdict": "irreducible" if oracle_verdict.irreducible else "reducible",
             "agrees": agrees,
-            "oracle_mults": str(oracle_work()),
+            "oracle_mults": str(oracle_mults),
         }
-        oracle_line = (
-            f"oracle: {'agrees' if agrees else 'DISAGREES'} "
-            f"({report['oracle']['verdict']}), {report['oracle']['oracle_mults']} mults, "
-            f"{oracle_ms:.2f} ms"
+        lines.append(
+            f"oracle: {'agrees' if agrees else 'DISAGREES'} ({report['oracle']['verdict']}), "
+            f"{oracle_mults} mults, {oracle_ms:.2f} ms"
         )
-
-    if args.json:
-        _emit_json(report)
-    else:
-        word = "irreducible" if verdict.irreducible else "reducible"
-        print(f"{word}: b(x^{args.d}) for b = {report['input']} over GF({args.p})")
-        print(f"reason: {verdict.reason.value}")
-        print(f"criterion work: {criterion_mults} mults, {criterion_ms:.2f} ms")
-        if oracle_line:
-            print(oracle_line)
+    _emit(args, report, lines)
     if not agrees:
         print("error: criterion and oracle disagree", file=sys.stderr)
         return 2
@@ -177,20 +182,10 @@ def cmd_generate(args) -> int:
         start = parse_poly(args.start, field)
     else:
         start = _auto_start(field, args.candidate_bound)
-
-    kwargs = dict(
-        candidate_bound=args.candidate_bound,
-        paranoid=args.paranoid,
-        work_bound=_work_bound(args),
-    )
-    t0 = time.perf_counter()
-    with count_mults() as work:
-        if args.schedule is not None:
-            schedule = [int(x) for x in args.schedule.split(",") if x]
-            cert = grow_tower(start, schedule, **kwargs)
-        else:
-            cert = grow_tower(start, target_degree=args.target_degree, **kwargs)
-    elapsed_ms = (time.perf_counter() - t0) * 1000
+    schedule = None if args.schedule is None else _schedule(args.schedule)
+    cert, mults, ms = _metered(grow_tower, start, schedule, target_degree=args.target_degree,
+                               candidate_bound=args.candidate_bound, paranoid=args.paranoid,
+                               work_bound=args.work_bound)
     final = cert.final_polynomial()
 
     cert_dict = cert.to_json_dict()
@@ -209,38 +204,19 @@ def cmd_generate(args) -> int:
             "degree": str(final.degree),
             "terms": str(final.term_count()),
         },
-        "work": {"criterion_mults": str(work())},
+        "work": {"criterion_mults": str(mults)},
         "certificate": cert_dict,
     }
-    if args.json:
-        _emit_json(report)
-    else:
-        print(f"final: {report['final']['poly']}")
-        print(
-            f"degree {final.degree}, {report['final']['terms']} terms, "
-            f"{len(cert.steps)} steps, {elapsed_ms:.1f} ms"
-        )
-        print("steps: " + ", ".join(f"d={s.d}" for s in cert.steps))
-        if args.cert_out is not None:
-            print(f"certificate written to {args.cert_out}")
+    lines = [
+        f"final: {report['final']['poly']}",
+        f"degree {final.degree}, {report['final']['terms']} terms, "
+        f"{len(cert.steps)} steps, {ms:.1f} ms",
+        "steps: " + ", ".join(f"d={s.d}" for s in cert.steps),
+    ]
+    if args.cert_out is not None:
+        lines.append(f"certificate written to {args.cert_out}")
+    _emit(args, report, lines)
     return 0
-
-
-def _census_report(args, convention: Convention) -> dict:
-    census = exhaustive_census(
-        args.p,
-        args.k,
-        args.d,
-        convention,
-        seed=args.seed,
-        bound=args.census_bound,
-        work_bound=_work_bound(args),
-    )
-    return {
-        "irreducible_count": str(census.irreducible_count),
-        "total": str(census.total),
-        "fraction": _fraction_json(census.fraction),
-    }
 
 
 def cmd_prob(args) -> int:
@@ -264,23 +240,25 @@ def cmd_prob(args) -> int:
         "mode": mode,
         "convention": convention.value,
     }
-    human: list[str] = []
     if mode == "exact":
         value = exact_probability(args.p, args.k, args.d, convention)
         report["value"] = _fraction_json(value)
-        human.append(
-            f"exact probability: {value} = {float(value):.6f} ({convention.value})"
-        )
+        line = f"exact probability: {_rational(value)} = {float(value):.6f} ({convention.value})"
     elif mode == "bound":
         value = union_lower_bound(args.d)
         report["value"] = _fraction_json(value)
-        human.append(f"union lower bound: {value} = {float(value):.6f}")
+        line = f"union lower bound: {_rational(value)} = {float(value):.6f}"
     elif mode == "census":
-        counts = _census_report(args, convention)
-        report["census"] = counts
-        human.append(
-            f"census: {counts['irreducible_count']}/{counts['total']} irreducible "
-            f"= {counts['fraction']['decimal']} (q={args.p**args.k}, {convention.value})"
+        census = exhaustive_census(args.p, args.k, args.d, convention, seed=args.seed,
+                                   bound=args.census_bound, work_bound=args.work_bound)
+        report["census"] = {
+            "irreducible_count": str(census.irreducible_count),
+            "total": str(census.total),
+            "fraction": _fraction_json(census.fraction),
+        }
+        line = (
+            f"census: {census.irreducible_count}/{census.total} irreducible "
+            f"= {report['census']['fraction']['decimal']} (q={census.q}, {convention.value})"
         )
     else:
         mc = monte_carlo_estimate(args.p, args.k, args.d, args.sample, args.seed)
@@ -292,88 +270,67 @@ def cmd_prob(args) -> int:
             "seed": str(args.seed),
             "modulus": None if mc.modulus is None else render_poly(mc.modulus),
         }
-        human.append(
+        line = (
             f"estimate: {float(mc.estimate):.4f} +/- {mc.stderr:.4f} "
             f"(successes {mc.successes}/{mc.trials}, seed {args.seed})"
         )
-    if args.json:
-        _emit_json(report)
-    else:
-        for line in human:
-            print(line)
+    _emit(args, report, [line])
     return 0
 
 
 def cmd_bench(args) -> int:
-    field = PrimeField(args.p)
-    b = parse_poly(args.start, field)
-    base_check = rabin_test(b, work_bound=_work_bound(args))
-    if not base_check.irreducible:
+    b = parse_poly(args.start, PrimeField(args.p))
+    if not rabin_test(b, work_bound=args.work_bound).irreducible:
         raise ReducibleInputError(f"start polynomial is reducible over GF({args.p})")
-    schedule = [int(x) for x in args.schedule.split(",") if x]
+    schedule = _schedule(args.schedule)
     if not schedule:
         raise CapelliError("empty schedule")
 
-    rows = []
+    steps = []
+    lines = [
+        f"{'step':>4} {'d':>3} {'degree':>7} {'verdict':>12} {'criterion':>12} "
+        f"{'oracle':>12} {'speedup':>9} {'crit ms':>9} {'orc ms':>9}"
+    ]
     for i, d in enumerate(schedule):
-        t0 = time.perf_counter()
-        with count_mults() as criterion_work:
-            verdict = decide_b_xd(b, d, trusted=True)
-        criterion_ms = (time.perf_counter() - t0) * 1000
-        criterion_mults = criterion_work()
-
-        composed = _compose_within(b, d, _work_bound(args))
-        t1 = time.perf_counter()
-        with count_mults() as oracle_work:
-            oracle = rabin_test(composed, work_bound=_work_bound(args))
-        oracle_ms = (time.perf_counter() - t1) * 1000
-        oracle_mults = oracle_work()
-
+        race = _race(b, d, args.work_bound, trusted=True)
+        (verdict, criterion_mults, criterion_ms), (oracle, oracle_mults, oracle_ms), composed = race
         if d == 1:
             speedup = "1.000"
         elif criterion_mults == 0:
             speedup = "inf"  # the criterion did no multiplications at all
         else:
             speedup = f"{oracle_mults / criterion_mults:.3f}"
-        rows.append(
-            {
-                "step": str(i),
-                "d": str(d),
-                "degree": str(composed.degree),
-                "verdict": "irreducible" if verdict.irreducible else "reducible",
-                "criterion_mults": str(criterion_mults),
-                "oracle_mults": str(oracle_mults),
-                "speedup": speedup,
-                "_times": (criterion_ms, oracle_ms),
-            }
+        row = {
+            "step": str(i),
+            "d": str(d),
+            "degree": str(composed.degree),
+            "verdict": "irreducible" if verdict.irreducible else "reducible",
+            "criterion_mults": str(criterion_mults),
+            "oracle_mults": str(oracle_mults),
+            "speedup": speedup,
+        }
+        steps.append(row)
+        lines.append(
+            f"{row['step']:>4} {row['d']:>3} {row['degree']:>7} {row['verdict']:>12} "
+            f"{row['criterion_mults']:>12} {row['oracle_mults']:>12} {row['speedup']:>9} "
+            f"{criterion_ms:>9.2f} {oracle_ms:>9.2f}"
         )
         disagrees = oracle.irreducible != verdict.irreducible
         rejected = not verdict.irreducible
         if disagrees or rejected:
             break
         b = composed
+    if rejected:
+        lines.append("stopped: step rejected")
 
     report = {
         "p": str(args.p),
         "input": args.start,
         "schedule": args.schedule,
         "complete": not (rejected or disagrees),
-        "steps": [{k: v for k, v in row.items() if k != "_times"} for row in rows],
+        "steps": steps,
     }
-    if args.json:
-        _emit_json(report)
-    else:
-        header = f"{'step':>4} {'d':>3} {'degree':>7} {'verdict':>12} {'criterion':>12} {'oracle':>12} {'speedup':>9} {'crit ms':>9} {'orc ms':>9}"
-        print(header)
-        for row in rows:
-            cms, oms = row["_times"]
-            print(
-                f"{row['step']:>4} {row['d']:>3} {row['degree']:>7} {row['verdict']:>12} "
-                f"{row['criterion_mults']:>12} {row['oracle_mults']:>12} {row['speedup']:>9} "
-                f"{cms:>9.2f} {oms:>9.2f}"
-            )
-        if rejected:
-            print("stopped: step rejected")
+    _emit(args, report, lines)
     if disagrees:
         print(f"error: criterion and oracle disagree at step {i}", file=sys.stderr)
         return 2
@@ -393,14 +350,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def work_bound(text: str) -> Optional[int]:
+        return int(text) or None  # 0 = unlimited
+
     def add_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument(
-            "--work-bound",
-            type=int,
-            default=DEFAULT_WORK_BOUND,
-            help="oracle work budget in multiplications; 0 = unlimited",
-        )
+        p.add_argument("--work-bound", type=work_bound, default=DEFAULT_WORK_BOUND,
+                       help="oracle work budget in multiplications; 0 = unlimited")
 
     t = sub.add_parser("test", help="decide whether b(x^d) is irreducible")
     t.add_argument("-p", type=int, required=True, help="field characteristic (prime)")
@@ -418,12 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--start", help="starting polynomial (default: first viable degree-2)")
     g.add_argument("--paranoid", action="store_true", help="re-run the oracle at every step")
     g.add_argument("--cert-out", help="write the tower certificate to this JSON file")
-    g.add_argument(
-        "--candidate-bound",
-        type=int,
-        default=DEFAULT_CANDIDATE_BOUND,
-        help="largest prime step size the auto policy will try",
-    )
+    g.add_argument("--candidate-bound", type=int, default=DEFAULT_CANDIDATE_BOUND,
+                   help="largest prime step size the auto policy will try")
     add_common(g)
     g.set_defaults(func=cmd_generate)
 
@@ -437,12 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--sample", type=int, metavar="N", help="Monte Carlo with N trials")
     pr.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     pr.add_argument("--include-zero", action="store_true", help="draw alpha from the whole field")
-    pr.add_argument(
-        "--census-bound",
-        type=int,
-        default=DEFAULT_ENUMERATION_BOUND,
-        help="largest field order the census will enumerate",
-    )
+    pr.add_argument("--census-bound", type=int, default=DEFAULT_ENUMERATION_BOUND,
+                    help="largest field order the census will enumerate")
     add_common(pr)
     pr.set_defaults(func=cmd_prob)
 
@@ -462,17 +410,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TowerStepRejectedError as exc:
-        report = {
-            "error": "step-rejected",
-            "step": str(exc.step_index),
-            "d": str(exc.d),
-        }
+        report = {"error": "step-rejected", "step": str(exc.step_index), "d": str(exc.d)}
         if exc.verdict is not None:
             report.update(_verdict_json(exc.verdict))
-        if getattr(args, "json", False):
-            _emit_json(report)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        _emit(args, report, [f"error: {exc}"], file=sys.stderr)
         return 1
     except NoViableStepError as exc:
         print(f"error: {exc}", file=sys.stderr)

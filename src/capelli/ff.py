@@ -150,6 +150,19 @@ def _np_safe(p: int, width: int) -> bool:
     return (p - 1) * (p - 1) * (width + 1) < (1 << 62)
 
 
+def _pack_mod(values, p: int, dtype) -> np.ndarray:
+    """values mod p as an array of dtype (int64, uint64 or object), packed in
+    one call; where numpy refuses an int outside dtype's range, each value is
+    reduced as a Python int first."""
+    if isinstance(values, np.ndarray) and values.dtype != dtype:
+        values = values.tolist()  # a cast between integer dtypes would wrap
+    try:
+        packed = np.asarray(values, dtype=dtype)
+    except OverflowError:
+        return (np.asarray(values, dtype=object) % p).astype(dtype)
+    return packed % packed.dtype.type(p)
+
+
 _U32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
@@ -681,32 +694,20 @@ class PrimeField:
     def pow_many(self, a: Sequence[int], e: int) -> np.ndarray:
         """a_i^e for each raw value of a, by one square-and-multiply ladder.
 
-        The ladder runs on an int64 array when products fit
-        (``_np_safe(p, 1)``). For larger p it runs in Montgomery form on a
-        uint64 array (``_montgomery_pow``), after reducing each value mod
-        p, one block of at most ``_MONTGOMERY_BLOCK`` values at a time; a
-        uint64 array, such as an earlier result, and Python ints in
-        [0, 2^64) are reduced without a Python loop. Each step counts
-        len(a) products, as a power in a residue ring of degree 1 does; the
-        conversions into and out of Montgomery form are not steps and count
-        nothing.
+        Each value is reduced mod p as it is packed (``_pack_mod``). The
+        ladder runs on an int64 array when products fit (``_np_safe(p, 1)``).
+        For larger p it runs in Montgomery form on a uint64 array
+        (``_montgomery_pow``), one block of at most ``_MONTGOMERY_BLOCK``
+        values at a time. Each step counts len(a) products, as a power in a
+        residue ring of degree 1 does; the conversions into and out of
+        Montgomery form are not steps and count nothing.
         """
         if e < 0:
             raise ValueError("exponent must be non-negative")
         p = self.p
         _METER_LOCAL.mults += len(a) * _ladder_products(e)
         if not _np_safe(p, 1):
-            if isinstance(a, np.ndarray) and a.dtype == np.uint64:
-                reduced = a % np.uint64(p)
-            else:
-                # packed in one call; numpy refuses an int below 0 or from 2^64
-                # up, and then each value is reduced in Python
-                values = a.tolist() if isinstance(a, np.ndarray) else a
-                try:
-                    reduced = np.array(values, dtype=np.uint64) % np.uint64(p)
-                except OverflowError:
-                    reduced = np.fromiter((int(v) % p for v in values), dtype=np.uint64,
-                                          count=len(values))
+            reduced = _pack_mod(a, p, np.uint64)
             if e == 0:
                 return np.ones_like(reduced)
             out = np.empty_like(reduced)
@@ -714,7 +715,7 @@ class PrimeField:
                 out[i : i + _MONTGOMERY_BLOCK] = _montgomery_pow(
                     reduced[i : i + _MONTGOMERY_BLOCK], e, p)
             return out
-        base = np.asarray(a, dtype=np.int64) % p
+        base = _pack_mod(a, p, np.int64)
         if e == 0:
             return np.ones_like(base)
         return _ladder(base, e, lambda x, y: x * y % p)
@@ -832,11 +833,12 @@ class ExtensionField:
         values, by one ladder over the whole batch (``_ResidueRing.pow_many``)
         on int64 rows where its sums fit, ``_np_safe(p, 2m)`` (each sums m
         convolution terms and t <= m fold adds, all below p^2), and on
-        Python-int rows, an object array, elsewhere."""
+        Python-int rows, an object array, elsewhere. Each entry is reduced
+        mod p as it is packed (``_pack_mod``)."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
-        m = self.degree
-        rows = np.asarray(a, dtype=np.int64 if _np_safe(self.p, 2 * m) else object)
+        p, m = self.p, self.degree
+        rows = _pack_mod(a, p, np.int64 if _np_safe(p, 2 * m) else object)
         return self._ring.pow_many(rows.reshape(-1, m), e)
 
     # conversions and iteration ----------------------------------------------

@@ -31,7 +31,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .criterion import decide_many, decide_xd_minus_alpha, star_condition
-from .errors import CapelliError, EnumerationBoundExceededError, OracleDisagreementError
+from .errors import (CapelliError, EnumerationBoundExceededError, OracleDisagreementError,
+                     WorkBoundExceededError)
 from .ff import ExtensionField, Poly, PrimeField, compose_power
 from .intops import distinct_prime_factors, is_prime
 from .oracle import (
@@ -193,10 +194,11 @@ def exhaustive_census(
     """
     _validate(p, k, d)
     convention = Convention(convention)
-    q = p**k
-    if q > bound:
+    # p >= 2, so 2^k > bound already shows p^k > bound, before p^k is built
+    if k >= bound.bit_length() or (q := p**k) > bound:
+        order = p if k == 1 else f"{p}^{k}"
         raise EnumerationBoundExceededError(
-            f"census over a field of order {q} exceeds the bound {bound}"
+            f"census over a field of order {order} exceeds the bound {bound}"
         )
     field = _build_field(p, k, bound)
     indices = np.arange(1, q, dtype=np.int64)
@@ -230,14 +232,21 @@ def monte_carlo_estimate(
     """Sample alpha uniformly from the units and estimate the probability.
 
     Fully deterministic for fixed (seed, parameters): the seed drives both
-    the modulus search (at most 50*k random monic candidates, Rabin-tested)
-    and the alpha stream, which ``decide_many`` decides in batches of at
-    most ``_SAMPLE_BATCH``. stderr is the plug-in binomial standard error
-    sqrt(phat*(1-phat)/trials).
+    the modulus search (at most 50*k random monic candidates, Rabin-tested
+    under the default work bound, so a degree whose test cannot fit it is
+    refused before the first draw) and the alpha stream, which
+    ``decide_many`` decides in batches of at most ``_SAMPLE_BATCH``. stderr
+    is the plug-in binomial standard error sqrt(phat*(1-phat)/trials).
     """
     _validate(p, k, d)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k > 1 and k * (k + 2) > DEFAULT_WORK_BOUND:
+        # refused before a candidate is drawn: Rabin charges its first gcd k(k + 2)
+        raise WorkBoundExceededError(
+            f"the modulus search needs rabin_test on degree {k}, at least {k * (k + 2)} "
+            f"multiplications each (bound {DEFAULT_WORK_BOUND})"
+        )
     rng = random.Random(seed)
     modulus = None
     if k == 1:

@@ -4,9 +4,12 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
+from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
@@ -15,6 +18,7 @@ import capelli
 from capelli import TowerCertificate, replay_certificate
 from capelli.cli import main
 from capelli.oracle import OracleVerdict
+from capelli.prob import exact_probability
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -177,6 +181,27 @@ def test_prob_census_over_f_8192_fits_the_default_work_bound(capsys):
     assert code == 0
     census = json.loads(out)["census"]
     assert (census["irreducible_count"], census["total"]) == ("0", "8191")
+
+
+@pytest.mark.parametrize("k", ["100000", "100000000"])
+def test_census_refuses_a_large_k_before_it_builds_the_order(capsys, k):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "prob", "-p", "3", "-k", k, "-d", "2", "--census")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert err == f"error: census over a field of order 3^{k} exceeds the bound 10000\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_exact_probability_is_written_past_the_digit_limit(capsys, json_flag):
+    """(1/2)(3^k - 1)/3^k at k = 10^5: the denominator 3^k has 47,713 digits."""
+    argv = ["prob", "-p", "3", "-k", "100000", "-d", "2", "--exact", "--include-zero"]
+    code, out, _ = run_cli(capsys, *argv, *json_flag)
+    assert code == 0
+    rational = json.loads(out)["value"]["rational"] if json_flag else out.split()[2]
+    n, d = (int(Decimal(part)) for part in rational.split("/"))
+    assert d == 3**100000
+    assert Fraction(n, d) == exact_probability(3, 100000, 2, "include-zero")
 
 
 def test_generate_writes_replayable_certificate(tmp_path, capsys):
@@ -413,3 +438,69 @@ def test_memory_error_exits_2_with_one_line(capsys):
         assert code == 2, argv
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
+
+# --- every command's output, pinned ---------------------------------------------
+
+WORD_P = str(2**61 - 1)
+PINNED_COMMANDS = {
+    "test-golden": ["test", "-p", "3", "--poly", "x^2+1", "-d", "2", "--oracle"],
+    "test-irreducible": ["test", "-p", "2", "--poly", "x^2+x+1", "-d", "3"],
+    "test-fourth-power": ["test", "-p", "7", "--poly", "x^2+x+3", "-d", "4", "--oracle"],
+    "test-zero-root": ["test", "-p", "3", "--poly", "x", "-d", "2"],
+    "test-word-p": ["test", "-p", WORD_P, "--poly", "x^2+2", "-d", "61", "--oracle"],
+    "test-reducible-b": ["test", "-p", "5", "--poly", "x^2+1", "-d", "2"],
+    "test-work-bound": ["test", "-p", "2", "--poly", "x^2+x+1", "-d", "81", "--oracle",
+                        "--work-bound", "100"],
+    "generate-paranoid": ["generate", "-p", "2", "--start", "x^2+x+1", "--schedule", "3,3",
+                          "--paranoid"],
+    "generate-cert-out": ["generate", "-p", "5", "--start", "x^2+2", "--schedule", "2,2",
+                          "--cert-out", "tower.json"],
+    "generate-auto-start": ["generate", "-p", "3", "--target-degree", "16"],
+    "generate-rejected": ["generate", "-p", "3", "--start", "x^2+1", "--schedule", "2"],
+    "generate-no-viable-step": ["generate", "-p", "2", "--start", "x+1", "--target-degree", "8"],
+    "generate-reducible-start": ["generate", "-p", "2", "--start", "x^2+1", "--schedule", "3"],
+    "generate-work-bound": ["generate", "-p", "2", "--start", "x^2+x+1",
+                            "--schedule", "3,3,3,3,3,3", "--work-bound", "1000"],
+    "generate-both-modes": ["generate", "-p", "2", "--schedule", "3", "--target-degree", "9"],
+    "prob-exact": ["prob", "-p", "7", "-k", "1", "-d", "3", "--exact"],
+    "prob-exact-include-zero": ["prob", "-p", "3", "-k", "2", "-d", "4", "--exact",
+                                "--include-zero"],
+    "prob-bound": ["prob", "-d", "12", "--bound"],
+    "prob-census": ["prob", "-p", "7", "-k", "1", "-d", "6", "--census"],
+    "prob-census-include-zero": ["prob", "-p", "5", "-k", "1", "-d", "2", "--census",
+                                 "--include-zero"],
+    "prob-census-bound": ["prob", "-p", "10007", "-k", "1", "-d", "2", "--census"],
+    "prob-census-work-bound": ["prob", "-p", "3", "-k", "2", "-d", "4", "--census",
+                               "--work-bound", "100"],
+    "prob-sample-extension": ["prob", "-p", "3", "-k", "2", "-d", "2", "--sample", "50"],
+    "prob-sample-golden": ["prob", "-p", WORD_P, "-k", "1", "-d", "6", "--sample", "3000",
+                           "--seed", "1"],
+    "prob-two-modes": ["prob", "-p", "7", "-k", "1", "-d", "3", "--exact", "--bound"],
+    "bench-complete": ["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", "1,3,3"],
+    "bench-rejected": ["bench", "-p", "5", "--start", "x^2+2", "--schedule", "2,3"],
+    "bench-reducible-start": ["bench", "-p", "2", "--start", "x^2+1", "--schedule", "3"],
+    "bench-work-bound": ["bench", "-p", "2", "--start", "x^2+x+1", "--schedule", HUGE_D],
+}
+
+
+def mask_timings(text):
+    """Human output with its wall-clock figures replaced: "<n>.<n> ms" in
+    `test` and `generate`, and the two trailing time columns of `bench` rows."""
+    text = re.sub(r"\d+\.\d+ ms\b", "<t> ms", text)
+    return re.sub(r"(?m)( +\d+\.\d\d){2}$", " <t> <t>", text)
+
+
+def pinned_run(capsys, argv, json_flag):
+    code, out, err = run_cli(capsys, *argv, *(("--json",) if json_flag else ()))
+    return {"code": code, "out": out if json_flag else mask_timings(out), "err": err}
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["human", "json"])
+@pytest.mark.parametrize("name", list(PINNED_COMMANDS))
+def test_command_output_is_pinned(tmp_path, monkeypatch, capsys, name, json_flag):
+    """Exit code, stdout and stderr of each command in both output modes,
+    timings masked, as recorded in data/cli_outputs.json."""
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads((DATA / "cli_outputs.json").read_text())
+    mode = "json" if json_flag else "human"
+    assert pinned_run(capsys, PINNED_COMMANDS[name], json_flag) == expected[name][mode]

@@ -200,6 +200,24 @@ def test_decide_many_matches_per_alpha_verdicts(data):
     assert decide_many(F, d, values).tolist() == _per_alpha_mask(F, d, values)
 
 
+@pytest.mark.parametrize("p, k", BATCH_FIELDS)
+def test_decide_many_reduces_values_shifted_by_multiples_of_p(p, k):
+    """Raw values shifted by multiples of p decide as the reduced values do:
+    shifts whose entries fit int64, and shifts past 64 bits, negative too."""
+    F = _random_field(p, k, seed=k)
+    rng = random.Random(p + k)
+    values = [F.from_index(rng.randrange(1, F.order)) for _ in range(20)]
+    for shift in (lambda: rng.randrange(2**62 // p + 1), lambda: rng.randrange(-(2**80), 2**80)):
+        shifted = [v + p * shift() if k == 1 else tuple(c + p * shift() for c in v)
+                   for v in values]
+        for d in (2, 3, 12):
+            assert decide_many(F, d, shifted).tolist() == decide_many(F, d, values).tolist()
+    # F_9 = F_3[y]/(y^2 + 1): (3*10^12 + 1, 0) is 1, a square, so x^2 - 1 is reducible;
+    # 2^70 = 2 is not a cube mod 7
+    assert decide_many(ExtensionField(3, [1, 0, 1]), 2, [(3 * 10**12 + 1, 0)]).tolist() == [False]
+    assert decide_many(PrimeField(7), 3, [2**70]).tolist() == [True]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 13, 16, 25, 27, 49, 81, 125, 512])
 def test_decide_many_matches_per_alpha_on_every_unit(q):
     """The census's input: every unit, as an index array or an (N, m) array."""

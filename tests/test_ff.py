@@ -532,8 +532,9 @@ def test_prime_field_pow_many_matches_pow_and_counts(p):
     """int64 or Montgomery ladder, each step counting N products."""
     rng = random.Random(p)
     K = PrimeField(p)
-    # unreduced values too: negative, p and above, beyond int64 products
+    # unreduced values too: negative, p and above, beyond int64 products, beyond 64 bits
     values = [rng.randrange(p) for _ in range(20)] + [10**12, -5, p, 2 * p + 3]
+    values += [2**63, 2**70, -(2**70) - 3]
     for e in (0, 1, 2, 3, p - 1, (p - 1) // 2, rng.randrange(2**90)):
         with count_mults() as work:
             got = K.pow_many(values, e)
@@ -542,6 +543,10 @@ def test_prime_field_pow_many_matches_pow_and_counts(p):
     # 10^12 = 1 mod 7: squared on int64 it once overflowed, and e = 1 left it unreduced
     assert PrimeField(7).pow_many([10**12], 2).tolist() == [1]
     assert PrimeField(7).pow_many([10**12], 1).tolist() == [1]
+    # past int64 the int64 route once raised OverflowError; 2^70 = 2 mod 7
+    assert PrimeField(7).pow_many([2**70], 1).tolist() == [2]
+    # F_9 rows were packed unreduced: (3, 0) is zero
+    assert ExtensionField(3, [1, 0, 1]).pow_many([(3, 0)], 1).tolist() == [[0, 0]]
 
 
 # 1,518,500,213 is the last prime with int64 headroom, 1,518,500,279 the first without;

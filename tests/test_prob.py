@@ -1,6 +1,7 @@
 """Probability model: formulas, censuses, and the Monte Carlo estimator."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from capelli import (
     PrimeField,
     Reason,
     Verdict,
+    WorkBoundExceededError,
     compose_power,
     count_mults,
     decide_xd_minus_alpha,
@@ -193,6 +195,19 @@ def test_monte_carlo_extension_field_modulus():
     assert mc.modulus is not None
     assert mc.modulus.degree == 2
     assert abs(float(mc.estimate) - 0.5) <= 4 * mc.stderr
+
+
+def test_monte_carlo_refuses_an_oversized_modulus_before_it_draws():
+    """No Rabin test of degree 10^7 fits the default bound, so the search
+    raises with no candidate's k + 1 coefficients drawn."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkBoundExceededError, match="rabin_test on degree 10000000"):
+            monte_carlo_estimate(3, 10**7, 2, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_monte_carlo_validations():
