@@ -261,7 +261,8 @@ def cmd_prob(args) -> int:
             f"= {report['census']['fraction']['decimal']} (q={census.q}, {convention.value})"
         )
     else:
-        mc = monte_carlo_estimate(args.p, args.k, args.d, args.sample, args.seed)
+        mc = monte_carlo_estimate(args.p, args.k, args.d, args.sample, args.seed,
+                                  work_bound=args.work_bound)
         report["sample"] = {
             "trials": str(mc.trials),
             "successes": str(mc.successes),

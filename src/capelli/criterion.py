@@ -15,19 +15,19 @@ exponentiation: p | d, a prime divisor of d coprime to p^m - 1, and the
 (4 | d, p = 3 mod 4, odd m) case. Each shortcut certifies reducibility for
 every nonzero alpha.
 
-``decide_b_xd`` computes each residue value by norm descent. A test raises
-c*alpha (c = 1, or c = -4 for the fourth-power test) to (q - 1)/g. When g
-divides p^s - 1 for a subfield F_{p^s} of F, the same value is
-N(c*alpha)^((p^s - 1)/g), where N is the norm from F to that subfield
-(Lidl & Niederreiter, Finite Fields, §2.3 and Thm 3.75). The subfields
-come from b alone: F_p, where N(alpha) = (-1)^m * b(0), and F_p(alpha^k) for
-each k dividing the gcd of the exponents of b's nonzero terms. There
-beta = alpha^k has minimal polynomial b_k(y) = sum of b_(ik) * y^i, and
-N(alpha) = (-1)^(k+1) * beta; the value is computed in F_p[y]/(b_k) and
-embedded by y^i -> x^(ik), with no reduction. The smallest subfield that
-holds the value is used, and the direct ladder in F otherwise. In a sparse
-tower every step is such a composition, so a step costs about as much as
-deciding at its base.
+``decide_xd_minus_alpha`` computes each residue value by norm descent
+(``_power``). A test raises c*alpha (c = 1, or c = -4 for the fourth-power
+test) to (q - 1)/g. When g divides p^s - 1 for a subfield F_{p^s} of F,
+the same value is N(c*alpha)^((p^s - 1)/g), where N is the norm from F to
+that subfield (Lidl & Niederreiter, Finite Fields, §2.3 and Thm 3.75). The
+subfields come from b alone: F_p, where N(alpha) = (-1)^m * b(0), and
+F_p(alpha^k) for each k dividing the gcd of the exponents of b's nonzero
+terms. There beta = alpha^k has minimal polynomial
+b_k(y) = sum of b_(ik) * y^i, and N(alpha) = (-1)^(k+1) * beta; the value
+is computed in F_p[y]/(b_k) and embedded by y^i -> x^(ik), with no
+reduction. The smallest subfield that holds the value is used, and the
+direct ladder in F otherwise. In a sparse tower every step is such a
+composition, so a step costs about as much as deciding at its base.
 
 ``decide_many`` decides x^d - alpha for a batch of alpha in one field, as
 the census and Monte Carlo need: the shortcuts and the residue plan once,
@@ -35,9 +35,10 @@ then one vectorized ladder to beta = alpha^((q-1)/R), R the product of the
 primes d' dividing d, and each d'-th power test as beta^(R/d') = 1.
 
 Accepted tower steps record every residue test performed. Replay decides
-each step again without descent, raising alpha itself in F with the residue
-ring's ladder (Frobenius steps included), and compares whole steps, so
-generation and replay still check each other.
+each step again by the same descent and compares whole steps. What checks
+the descent independently is Rabin's test of a certificate's base, the
+test suite's reference that reruns every recorded test by the direct
+ladder in F, and the benchmark's closed-form residue checks.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def decide_xd_minus_alpha(field: Union[PrimeField, ExtensionField], alpha, d: in
     one = field.one
     tests = []
     for dprime, exponent in plan:
-        value = field.pow(alpha, exponent)
+        value = _power(field, alpha, exponent)
         test = ResidueTest(dprime, exponent, _element_coeffs(field, value), value == one)
         tests.append(test)
         if test.is_power:
@@ -242,7 +243,7 @@ def decide_xd_minus_alpha(field: Union[PrimeField, ExtensionField], alpha, d: in
         # unreachable in characteristic 2: the d' = 2 test above always fires there
         assert field.p != 2
         minus4a = field.mul(field.scalar(-4), alpha)
-        value = field.pow(minus4a, fourth_exponent)
+        value = _power(field, minus4a, fourth_exponent)
         test = FourthPowerTest(fourth_exponent, _element_coeffs(field, value), value == one)
         tests.append(test)
         if test.is_power:
@@ -301,53 +302,40 @@ def decide_many(field: Union[PrimeField, ExtensionField], d: int, values) -> np.
     return mask
 
 
-class _DescentField(ExtensionField):
-    """F = F_p[x]/(b) whose residue-test powers of c*x (c in F_p) use norm descent.
-
-    Any other power, and a power whose value lies in no subfield known from
-    b, runs the ExtensionField ladder. See the module docstring.
-    """
-
-    __slots__ = ("_coarsenings",)
-
-    def __init__(self, b: Poly):
-        super().__init__(b.field, b, trusted=True)
-        gap = math.gcd(*(i for i, c in enumerate(b.coeffs) if c))
-        # k with F_p(alpha^k) a proper subfield of degree m/k, smallest subfield first
-        self._coarsenings = tuple(k for k in reversed(divisors(gap)) if 1 < k < self.degree)
-
-    def pow(self, a: tuple, e: int) -> tuple:
-        c = a[1]
-        if e < 1 or not c or a[0] or any(a[2:]) or self.order_minus_one % e:
-            return super().pow(a, e)
-        g = self.order_minus_one // e
-        K, p, m = self.base, self.p, self.degree
-        if (p - 1) % g == 0:
-            # N(c*alpha) = (-c)^m * b(0)
-            norm = pow(-c, m, p) * self.modulus[0] % p
-            return self.scalar(K.pow(norm, (p - 1) // g))
-        for k in self._coarsenings:
-            s = m // k
-            if pow(p, s, g) == 1:
-                # alpha is a root of x^k - beta over F_p(beta), beta = alpha^k,
-                # so N(c*alpha) = (-1)^(k+1) * c^k * beta
-                sub = ExtensionField(K, self.modulus[::k], trusted=True)
-                norm = (0, -pow(-c, k, p) % p) + (0,) * (s - 2)
-                out = [0] * m
-                out[::k] = sub.pow(norm, (p**s - 1) // g)
-                return tuple(out)
-        return super().pow(a, e)
+def _power(field: Union[PrimeField, ExtensionField], a, e: int):
+    """a^e in ``field``. Over F_p[x]/(b), a = c*x (c in F_p) and e | q - 1
+    descend to the smallest subfield known from b that holds the value (see
+    the module docstring); every other power runs ``field.pow``."""
+    if (not isinstance(field, ExtensionField) or e < 1 or field.order_minus_one % e
+            or a[0] or not a[1] or any(a[2:])):
+        return field.pow(a, e)
+    c, g = a[1], field.order_minus_one // e
+    K, p, m, b = field.base, field.p, field.degree, field.modulus
+    if (p - 1) % g == 0:
+        # N(c*alpha) = (-c)^m * b(0)
+        norm = pow(-c, m, p) * b[0] % p
+        return field.scalar(K.pow(norm, (p - 1) // g))
+    gap = math.gcd(*(i for i, coeff in enumerate(b) if coeff))
+    # k with F_p(alpha^k) a proper subfield of degree m/k, smallest subfield first
+    for k in reversed(divisors(gap)):
+        s = m // k
+        if 1 < k < m and pow(p, s, g) == 1:
+            # alpha is a root of x^k - beta over F_p(beta), beta = alpha^k,
+            # so N(c*alpha) = (-1)^(k+1) * c^k * beta
+            sub = ExtensionField(K, b[::k], trusted=True)
+            norm = (0, -pow(-c, k, p) % p) + (0,) * (s - 2)
+            out = [0] * m
+            out[::k] = sub.pow(norm, (p**s - 1) // g)
+            return tuple(out)
+    return field.pow(a, e)
 
 
-def _root(b: Poly, descent: bool) -> Optional[tuple]:
-    """(field, alpha) for alpha the residue of x modulo b, None when b = x:
-    F_p when deg b = 1, else F_p[x]/(b) as a _DescentField, or a plain
-    ExtensionField without descent."""
-    K = b.field
+def _root(b: Poly) -> Optional[tuple]:
+    """(field, alpha) for alpha the residue of x modulo b, None when b = x."""
     if b.degree == 1:
-        alpha = K.neg(b.coeffs[0])
-        return (K, alpha) if alpha else None
-    F = _DescentField(b) if descent else ExtensionField(K, b, trusted=True)
+        alpha = b.field.neg(b.coeffs[0])
+        return (b.field, alpha) if alpha else None
+    F = ExtensionField(b.field, b, trusted=True)
     return F, F.gen()
 
 
@@ -380,19 +368,19 @@ def decide_b_xd(
                 f"b is reducible over GF({b.field.p}); the reduction requires irreducible b",
                 witness=check.witness,
             )
-    return _decide_step(b, d, descent=True)
+    return _decide_step(b, d)
 
 
-def _decide_step(b: Poly, d: int, descent: bool) -> Verdict:
+def _decide_step(b: Poly, d: int) -> Verdict:
     """The verdict on b(x^d) for irreducible monic b and d >= 1: the degree-one
     and whole-field shortcuts, the zero root, then the residue tests on a root
-    of b, with norm descent or without it as replay needs."""
+    of b."""
     if d == 1:
         return Verdict(True, Reason.DEGREE_ONE)
     shortcut = reducibility_shortcuts(b.field.p, b.degree, d)
     if shortcut is not None:
         return Verdict(False, shortcut.reason, evidence=shortcut)
-    root = _root(b, descent)
+    root = _root(b)
     if root is None:
         # b = x, so b(x^d) = x^d
         smallest = distinct_prime_factors(d)[0]
@@ -632,8 +620,10 @@ def replay_certificate(
 ) -> bool:
     """Decide every step of a certificate again; raise on any discrepancy.
 
-    Each step is decided without descent, in the field of the previous
-    composition: the verdict must be irreducible and its tests the recorded ones.
+    Each step is decided as generation decides it, by norm descent, in the
+    field of the previous composition: the verdict must be irreducible and its
+    tests the recorded ones. See the module docstring for the checks that
+    stay independent of the descent.
 
     ``work_bound`` (None: unbounded) also bounds the size of the document:
     a final degree above it is refused before any field is built, each
@@ -672,7 +662,7 @@ def _replay(cert: TowerCertificate, work_bound: Optional[int]) -> bool:
         d = step.d
         if d < 1:
             raise CertificateReplayError(f"step {i}: d must be >= 1, got {d}")
-        verdict = _decide_step(b, d, descent=False)
+        verdict = _decide_step(b, d)
         if not verdict.irreducible:
             raise CertificateReplayError(
                 f"step {i}: the criterion rejects d={d} at degree {b.degree} "

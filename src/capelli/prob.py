@@ -228,24 +228,27 @@ def monte_carlo_estimate(
     d: int,
     trials: int,
     seed: int = 0,
+    *,
+    work_bound: Optional[int] = DEFAULT_WORK_BOUND,
 ) -> MonteCarloResult:
     """Sample alpha uniformly from the units and estimate the probability.
 
     Fully deterministic for fixed (seed, parameters): the seed drives both
-    the modulus search (at most 50*k random monic candidates, Rabin-tested
-    under the default work bound, so a degree whose test cannot fit it is
-    refused before the first draw) and the alpha stream, which
-    ``decide_many`` decides in batches of at most ``_SAMPLE_BATCH``. stderr
-    is the plug-in binomial standard error sqrt(phat*(1-phat)/trials).
+    the modulus search (at most 50*k random monic candidates, each
+    Rabin-tested under ``work_bound``, None meaning unbounded; a degree
+    whose test cannot fit it is refused before the first draw) and the
+    alpha stream, which ``decide_many`` decides in batches of at most
+    ``_SAMPLE_BATCH``. stderr is the plug-in binomial standard error
+    sqrt(phat*(1-phat)/trials).
     """
     _validate(p, k, d)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if k > 1 and k * (k + 2) > DEFAULT_WORK_BOUND:
+    if k > 1 and work_bound is not None and k * (k + 2) > work_bound:
         # refused before a candidate is drawn: Rabin charges its first gcd k(k + 2)
         raise WorkBoundExceededError(
             f"the modulus search needs rabin_test on degree {k}, at least {k * (k + 2)} "
-            f"multiplications each (bound {DEFAULT_WORK_BOUND})"
+            f"multiplications each (bound {work_bound})"
         )
     rng = random.Random(seed)
     modulus = None
@@ -256,7 +259,7 @@ def monte_carlo_estimate(
         attempts = 50 * k
         for _ in range(attempts):
             candidate = Poly(base, [rng.randrange(p) for _ in range(k)] + [1])
-            if rabin_test(candidate).irreducible:
+            if rabin_test(candidate, work_bound=work_bound).irreducible:
                 modulus = candidate
                 break
         else:

@@ -173,6 +173,14 @@ def test_prob_census_passes_the_work_bound_to_its_oracle(capsys):
     assert code == 0 and json.loads(out)["census"]["irreducible_count"] == "4"
 
 
+def test_prob_sample_passes_the_work_bound_to_its_modulus_search(capsys):
+    # k(k + 2) = 24 multiplications for Rabin's first gcd at degree 4 exceed 20
+    argv = ["prob", "-p", "3", "-k", "4", "-d", "2", "--sample", "10"]
+    code, _, err = run_cli(capsys, *argv, "--work-bound", "20")
+    assert code == 2 and "(bound 20)" in err
+    assert run_cli(capsys, *argv, "--work-bound", "0")[0] == 0
+
+
 def test_prob_census_over_f_8192_fits_the_default_work_bound(capsys):
     """2^13 - 1 is prime, so every prime divisor of d = 15 is coprime to
     q - 1 and no alpha counts; the oracle confirms 820 of them over F_2."""

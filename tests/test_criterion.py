@@ -1,6 +1,7 @@
 """The decision procedure: residue tests, shortcuts, verdicts, towers."""
 
 import json
+import math
 import random
 import sys
 import time
@@ -43,8 +44,9 @@ from capelli import (
     star_condition,
 )
 
+from capelli.criterion import _power
 from capelli.ff import _LISTS_MAX_DEG, _ResidueRing
-from capelli.intops import primes_up_to
+from capelli.intops import distinct_prime_factors, primes_up_to
 
 from conftest import field_of_order, prime_powers_up_to
 
@@ -415,10 +417,39 @@ def test_small_equivalence_grid():
 # --- norm descent against the direct ladder --------------------------------------
 
 
+def _ladder_tests(b, d):
+    """The residue tests decide_b_xd(b, d) runs past the shortcuts, each by the
+    direct ladder F.pow in F = F_p[x]/(b) on its exponent (q - 1)/gcd(n, q - 1),
+    in plan order up to the first power found."""
+    if b.degree == 1:
+        F, alpha, coeffs = b.field, b.field.neg(b.coeffs[0]), lambda v: (v,)
+    else:
+        F = ExtensionField(b.field, b, trusted=True)
+        alpha, coeffs = F.gen(), tuple
+    q1 = F.order_minus_one
+    tests = []
+    for r in distinct_prime_factors(d):
+        e = q1 // math.gcd(r, q1)
+        value = F.pow(alpha, e)
+        tests.append(ResidueTest(r, e, coeffs(value), value == F.one))
+        if value == F.one:
+            return tuple(tests)
+    if d % 4 == 0:
+        e = q1 // math.gcd(4, q1)
+        value = F.pow(F.mul(F.scalar(-4), alpha), e)
+        tests.append(FourthPowerTest(e, coeffs(value), value == F.one))
+    return tuple(tests)
+
+
 def _ladder_decision(b, d):
-    """The residue tests of decide_b_xd, run by the direct ladder in F_p[x]/(b)."""
-    F = ExtensionField(b.field, b, trusted=True)
-    return decide_xd_minus_alpha(F, F.gen(), d)
+    """decide_b_xd(b, d) rebuilt from _ladder_tests."""
+    tests = _ladder_tests(b, d)
+    power = next((t for t in tests if t.is_power), None)
+    if power is None:
+        return Verdict(True, Reason.PASSES_ALL_RESIDUE_TESTS, tests=tests)
+    reason = (Reason.ALPHA_IS_DPRIME_POWER if isinstance(power, ResidueTest)
+              else Reason.MINUS4ALPHA_IS_FOURTH_POWER)
+    return Verdict(False, reason, evidence=power, tests=tests)
 
 
 def _descends(b, d):
@@ -504,16 +535,14 @@ def test_descent_examples_hit_every_branch(monkeypatch):
 
 def test_descent_field_pow_matches_ladder():
     """Every power of any element: descent for c*x at exponents (q-1)/g, else the ladder."""
-    from capelli.criterion import _DescentField
-
     for b in (Poly(F3, [2, 0, 1, 0, 1]), Poly(F2, [1, 0, 0, 1, 0, 0, 1]), Poly(F5, [2, 0, 1])):
-        D, F = _DescentField(b), ExtensionField(b.field, b, trusted=True)
+        F = ExtensionField(b.field, b, trusted=True)
         q1 = F.order_minus_one
         exponents = [0, 1, 2, 5, q1 - 1] + [q1 // g for g in range(1, 17) if q1 % g == 0]
         elements = [F.gen(), F.scalar(2), F.mul(F.scalar(-4), F.gen()), F.from_index(F.p + 1)]
         for a in elements:
             for e in exponents:
-                assert D.pow(a, e) == F.pow(a, e), (b, a, e)
+                assert _power(F, a, e) == F.pow(a, e), (b, a, e)
 
 
 def test_descent_matches_ladder_on_towers():
@@ -531,6 +560,30 @@ def test_descent_matches_ladder_on_towers():
             if pow(p, b.degree, r) == 1:
                 assert decide_b_xd(b, r, trusted=True) == _ladder_decision(b, r), (b.degree, r)
         b = compose_power(b, 61)
+
+
+@pytest.mark.parametrize(
+    "p, base, how",
+    [
+        (2, [1, 1, 1], {"schedule": [3] * 7}),
+        (2**61 - 1, [2, 0, 1], {"target_degree": 7442}),
+        (5, [3, 1], {"schedule": [4, 2]}),
+        # the fourth-power test runs by the ladder at degree 2, in F_3(alpha^4) at degree 8
+        (3, [2, 1, 1], {"schedule": [4, 4]}),
+    ],
+    ids=["tower-p2", "tower-wordp", "F5-x+3-[4,2]", "F3-x^2+x+2-[4,4]"],
+)
+def test_every_recorded_step_matches_the_ladder(p, base, how):
+    """Each step's recorded tests, recomputed by the direct ladder in the field
+    of the previous composition: the check independent of the descent that
+    both generation and replay use."""
+    cert = grow_tower(Poly(PrimeField(p), base), **how)
+    b = Poly(PrimeField(p), cert.base)
+    for step in cert.steps:
+        recorded = step.prime_tests + ((step.fourth_power,) if step.fourth_power else ())
+        assert _ladder_tests(b, step.d) == recorded, (b.degree, step.d)
+        b = compose_power(b, step.d)
+    assert b.degree == cert.final_degree
 
 
 def test_descent_work_is_flat_along_a_tower():
@@ -636,13 +689,16 @@ def test_tower_paranoid_mode_raises_when_the_oracle_disagrees(how):
 @pytest.mark.parametrize(
     "p, base, how, degree, generate, replay",
     [
-        (2, [1, 1, 1], {"schedule": [3] * 7}, 4374, 7, 2_949_341),
-        (2**61 - 1, [2, 0, 1], {"target_degree": 7442}, 7442, 1_565, 799_956),
+        (2, [1, 1, 1], {"schedule": [3] * 7}, 4374, 7, 7),
+        (2**61 - 1, [2, 0, 1], {"target_degree": 7442}, 7442, 1_565, 179),
+        (65521, [17, 0, 1], {"target_degree": 5000}, 8192, 311, 311),
     ],
-    ids=["tower-p2", "tower-wordp"],
+    ids=["tower-p2", "tower-wordp", "tower-p65521"],
 )
 def test_tower_generate_and_replay_work_pinned(p, base, how, degree, generate, replay):
-    """The benchmark's two towers: what growing and replaying each meters."""
+    """The benchmark's two towers and a degree-8192 one at p = 65521: what
+    growing and replaying each meters. Replay decides each step by the same
+    descent as generation, but only growing searches and rejects candidates."""
     with count_mults() as work:
         cert = grow_tower(Poly(PrimeField(p), base), **how)
     assert (cert.final_degree, work()) == (degree, generate)
@@ -840,8 +896,6 @@ def test_certificate_replay_bit_for_bit():
         F = ExtensionField(K, b, trusted=True)
         om1 = F.order_minus_one
         for t in step.prime_tests:
-            import math
-
             e = om1 // math.gcd(t.dprime, om1)
             assert e == t.exponent
             assert F.pow(F.gen(), e) == t.result
